@@ -30,7 +30,6 @@ from .lattice import (
     is_homogeneous,
     parity,
     parse,
-    render,
     rotate,
 )
 from .metrics import (
@@ -61,7 +60,6 @@ from .rule import (
 from .verifier import (
     VerificationReport,
     Violation,
-    check_plateau_structure,
     check_trajectory_invariants,
     plan_sweep,
     search_counterexamples,

@@ -6,7 +6,7 @@ import json
 import os
 import sys
 
-from . import engine, metrics, verifier
+from . import engine, metrics, packed, verifier
 from .engine import Converged, Cycle
 from .lattice import ConfigurationError, parse
 from .rule import CORRECTED, ORIGINAL, VARIANTS, build_rule_table, table_diff, \
@@ -22,11 +22,18 @@ def _default_workers() -> int:
         return 1
 
 
-def _positive_int(text: str) -> int:
+def _nonnegative_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = _nonnegative_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
     return value
@@ -34,10 +41,13 @@ def _positive_int(text: str) -> int:
 
 def _sizes(text: str) -> list[int]:
     """Parse '1..21', '13' or '3,5,13' into a list of odd sizes."""
+    too_large = argparse.ArgumentTypeError(f"sizes must be at most {packed.MAX_N}: {text!r}")
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
             lo, hi = int(lo_text), int(hi_text)
+            if hi > packed.MAX_N:
+                raise too_large
             sizes = [n for n in range(lo, hi + 1) if n % 2 == 1]
         else:
             sizes = [int(part) for part in text.split(",")]
@@ -45,6 +55,8 @@ def _sizes(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad size list {text!r}") from exc
     if not sizes or any(n < 1 or n % 2 == 0 for n in sizes):
         raise argparse.ArgumentTypeError(f"sizes must be odd and positive: {text!r}")
+    if max(sizes) > packed.MAX_N:
+        raise too_large
     return sizes
 
 
@@ -58,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="run a configuration and print the diagram")
     p.add_argument("--rule", choices=VARIANTS, default=CORRECTED)
     p.add_argument("--config", required=True)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=_nonnegative_int, default=None)
     p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--format", choices=("text", "json", "pbm"), default="text")
     p.add_argument("--output", default=None)
@@ -83,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="find misclassified configurations")
     p.add_argument("--rule", choices=VARIANTS, default=CORRECTED)
-    p.add_argument("--max-size", type=int, required=True)
+    p.add_argument("--max-size", type=_positive_int, required=True)
     p.add_argument("--mode", choices=verifier.MODES, default=verifier.FULL)
     p.add_argument("--workers", type=_positive_int, default=_default_workers())
     p.add_argument("--budget", type=_positive_int, default=None)

@@ -69,10 +69,6 @@ def parse(text: str) -> Configuration:
     return Configuration(n=len(text), bits=bits)
 
 
-def render(x: Configuration) -> str:
-    return str(x)
-
-
 def from_int(n: int, value: int) -> Configuration:
     """Build a configuration of length n from its packed-integer encoding."""
     return Configuration(n=n, bits=value)

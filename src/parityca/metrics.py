@@ -9,16 +9,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import engine
-from .lattice import Configuration, is_homogeneous
+from .lattice import Configuration
 from .rule import CORRECTED, build_rule_table
 
-DOMAIN_KINDS = (
-    "D12", "D34", "D56r", "D56b", "D78r", "D78b",
-    "D910r", "D910b", "D910rb", "D911", "D912r", "D912b",
+# The domain kinds of the proof, one row each: a hit of ``kind`` at p
+# means ``pattern`` occurs at p and ``unless`` (a longer pattern, or "")
+# does not. The r/b variants refine a base pattern by what follows it;
+# no two rows can match at the same position.
+DOMAINS = (
+    ("D12", "11100", ""),
+    ("D34", "00100", ""),
+    ("D56r", "0110", "0110100"),
+    ("D56b", "0110100", ""),
+    ("D78r", "0010101", ""),
+    ("D78b", "0010100", ""),
+    ("D910r", "1110101", "111010100"),
+    ("D910b", "1110100", ""),
+    ("D910rb", "111010100", ""),
+    ("D911", "1110111", ""),
+    ("D912r", "1110110", "1110110100"),
+    ("D912b", "1110110100", ""),
 )
+
+DOMAIN_KINDS = tuple(kind for kind, _, _ in DOMAINS)
 
 # Domains that strictly lower the switch count in one step (plus merges).
 REDUCING_KINDS = frozenset({"D56r", "D78r", "D910r", "D912r"})
+
+# Update sites whose 00 pair flips to 11, so that two blocks of 1s may merge.
+MERGE_SITES = tuple(pattern for kind, pattern, _ in DOMAINS if kind in ("D12", "D34"))
 
 
 @dataclass(frozen=True)
@@ -49,12 +68,8 @@ class OrderedBlock:
 
 def find_pattern(x: Configuration, pattern: str) -> list[int]:
     """Start positions (mod n) where the '0'/'1' pattern occurs."""
-    n = x.n
-    return [
-        p
-        for p in range(n)
-        if all(x.cell(p + j) == int(ch) for j, ch in enumerate(pattern))
-    ]
+    ring = str(x) * (len(pattern) // x.n + 2)
+    return [p for p in range(x.n) if ring.startswith(pattern, p)]
 
 
 def find_boxes(x: Configuration) -> list[int]:
@@ -82,70 +97,35 @@ def switches(x: Configuration) -> SwitchReport:
             found.append(Switch(pos=i, kind="b"))
         elif x.cell(i) != x.cell(i + 1) and i not in box_cells and (i + 1) % n not in box_cells:
             found.append(Switch(pos=i, kind="r"))
-    report = SwitchReport(switches=tuple(found), boxes=tuple(sorted(boxes)), s=len(found))
-    assert all((sw.pos + 1) % n in box_starts for sw in found if sw.kind == "b")
-    assert all(
-        sw.pos not in box_cells and (sw.pos + 1) % n not in box_cells
-        for sw in found
-        if sw.kind == "r"
-    )
-    return report
-
-
-def _matches(x: Configuration, p: int, pattern: str) -> bool:
-    return all(x.cell(p + j) == int(ch) for j, ch in enumerate(pattern))
+    return SwitchReport(switches=tuple(found), boxes=tuple(sorted(boxes)), s=len(found))
 
 
 def find_domains(x: Configuration) -> list[DomainHit]:
-    """All domain occurrences with their refinement by trailing context.
+    """Every hit of every kind in ``DOMAINS``, in order of position.
 
-    The base patterns 0110, 001010, 111010 and 1110110 are refined into a
-    regular (r) or box (b) variant depending on whether the cells after
-    them complete a box; 111010 additionally has an rb form where both a
-    regular continuation and a box follow. Overlapping hits are all
-    reported.
+    Overlapping hits of different kinds are all reported.
     """
-    n = x.n
     hits: list[DomainHit] = []
-    for p in range(n):
-        if _matches(x, p, "11100"):
-            hits.append(DomainHit("D12", p))
-        if _matches(x, p, "00100"):
-            hits.append(DomainHit("D34", p))
-        if _matches(x, p, "0110"):
-            kind = "D56b" if _matches(x, p + 4, "100") else "D56r"
-            hits.append(DomainHit(kind, p))
-        if _matches(x, p, "001010"):
-            hits.append(DomainHit("D78r" if x.cell(p + 6) else "D78b", p))
-        if _matches(x, p, "111010"):
-            if not x.cell(p + 6):
-                kind = "D910b"
-            elif _matches(x, p + 7, "00"):
-                kind = "D910rb"
-            else:
-                kind = "D910r"
-            hits.append(DomainHit(kind, p))
-        if _matches(x, p, "1110111"):
-            hits.append(DomainHit("D911", p))
-        if _matches(x, p, "1110110"):
-            kind = "D912b" if _matches(x, p + 7, "100") else "D912r"
-            hits.append(DomainHit(kind, p))
-    return hits
+    for kind, pattern, unless in DOMAINS:
+        excluded = set(find_pattern(x, unless)) if unless else set()
+        hits.extend(DomainHit(kind, p) for p in find_pattern(x, pattern) if p not in excluded)
+    return sorted(hits, key=lambda hit: hit.pos)
 
 
 def merge_events(x: Configuration, rule=None) -> int:
     """Count update sites where two blocks of 1s merge.
 
-    A site is a 11100 or 00100 occurrence; its 00 pair flips to 11, and
-    the blocks merge precisely when the cell just after the site still
-    holds 1 in the image, so the image cell is what gets tested. The
-    image is taken under the corrected rule unless another is given.
+    A site is a D12 or D34 occurrence (``MERGE_SITES``); its 00 pair
+    flips to 11, and the blocks merge precisely when the cell just after
+    the site still holds 1 in the image, so the image cell is what gets
+    tested. The image is taken under the corrected rule unless another
+    is given.
     """
     if rule is None:
         rule = build_rule_table(CORRECTED)
     y = engine.step(rule, x)
     count = 0
-    for pattern in ("11100", "00100"):
+    for pattern in MERGE_SITES:
         for p in find_pattern(x, pattern):
             if y.cell(p + 5):
                 count += 1
@@ -235,15 +215,3 @@ def report_json(x: Configuration) -> dict:
             for b in ordered_blocks(x)
         ],
     }
-
-
-def homogeneous_structure_clean(x: Configuration) -> bool:
-    """Sanity predicate: a homogeneous ring shows none of the plateau patterns."""
-    if not is_homogeneous(x):
-        raise ValueError("only meaningful for homogeneous configurations")
-    if find_pattern(x, "010101"):
-        return False
-    if ordered_blocks(x):
-        return False
-    banned = {"D56b", "D910b", "D910rb", "D911", "D912b"}
-    return not any(h.kind in banned for h in find_domains(x))

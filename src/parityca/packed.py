@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import metrics
 from .rule import RuleTable
+
+# The widest ring one uint64 holds for batch_step.
+MAX_N = 63
 
 _U = np.uint64
 _ONE = _U(1)
@@ -37,10 +41,6 @@ def rotl(v: np.ndarray, k: int, n: int) -> np.ndarray:
     return ((v >> _U(k)) | (v << _U(n - k))) & mask_of(n)
 
 
-def popcount(v: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(v)
-
-
 def parity_bits(v: np.ndarray) -> np.ndarray:
     return np.bitwise_count(v) & np.uint8(1)
 
@@ -61,14 +61,18 @@ def batch_step(lut: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _match(cells: list[np.ndarray], pattern: str) -> np.ndarray:
+    """AND over j of cells[j], complemented where pattern[j] is '0'."""
+    m = np.full_like(cells[0], ~_U(0))
+    for r, ch in zip(cells, pattern):
+        m &= r if ch == "1" else ~r
+    return m
+
+
 def match_mask(c: np.ndarray, n: int, pattern: str, offset: int = 0) -> np.ndarray:
     """bit p set iff the '0'/'1' pattern occurs starting at cell p + offset."""
-    mask = mask_of(n)
-    m = np.full_like(c, mask)
-    for j, ch in enumerate(pattern):
-        r = rotl(c, offset + j, n)
-        m &= r if ch == "1" else ~r
-    return m & mask
+    cells = [rotl(c, offset + j, n) for j in range(len(pattern))]
+    return _match(cells, pattern) & mask_of(n)
 
 
 def box_mask(c: np.ndarray, n: int) -> np.ndarray:
@@ -88,35 +92,24 @@ def switch_counts(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def domain_masks(c: np.ndarray, n: int) -> dict[str, np.ndarray]:
-    """Start-position masks for all twelve domain kinds."""
-    x = lambda k: rotl(c, k, n)
-    out: dict[str, np.ndarray] = {}
-    out["D12"] = match_mask(c, n, "11100")
-    out["D34"] = match_mask(c, n, "00100")
-    d56 = match_mask(c, n, "0110")
-    tail56 = x(4) & ~x(5) & ~x(6)
-    out["D56b"] = d56 & tail56
-    out["D56r"] = d56 & ~tail56
-    d78 = match_mask(c, n, "001010")
-    out["D78r"] = d78 & x(6)
-    out["D78b"] = d78 & ~x(6)
-    d910 = match_mask(c, n, "111010")
-    out["D910b"] = d910 & ~x(6)
-    boxy = ~x(7) & ~x(8)
-    out["D910rb"] = d910 & x(6) & boxy
-    out["D910r"] = d910 & x(6) & ~boxy
-    out["D911"] = match_mask(c, n, "1110111")
-    d912 = match_mask(c, n, "1110110")
-    tail912 = x(7) & ~x(8) & ~x(9)
-    out["D912b"] = d912 & tail912
-    out["D912r"] = d912 & ~tail912
+    """Start-position masks for every kind of ``metrics.DOMAINS``."""
+    width = max(len(unless or pattern) for _, pattern, unless in metrics.DOMAINS)
+    cells = [rotl(c, k, n) for k in range(width)]
     mask = mask_of(n)
-    return {k: v & mask for k, v in out.items()}
+    out: dict[str, np.ndarray] = {}
+    for kind, pattern, unless in metrics.DOMAINS:
+        m = _match(cells, pattern)
+        if unless:
+            m &= ~_match(cells, unless)
+        out[kind] = m & mask
+    return out
 
 
 def merge_mask(c: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     """Sites where the update joins two blocks of 1s (y must be the step of c)."""
-    sites = match_mask(c, n, "11100") | match_mask(c, n, "00100")
+    sites = np.zeros_like(c)
+    for pattern in metrics.MERGE_SITES:
+        sites |= match_mask(c, n, pattern)
     return sites & rotl(y, 5, n)
 
 

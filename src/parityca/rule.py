@@ -129,9 +129,6 @@ class RuleTable:
     def output(self, code: int) -> int:
         return self.outputs[code]
 
-    def __getitem__(self, code: int) -> int:
-        return self.outputs[code]
-
 
 @lru_cache(maxsize=None)
 def build_rule_table(variant: str) -> RuleTable:

@@ -35,8 +35,6 @@ HOM_ZERO = "zero-switches-homogeneous"
 OB_BOUND = "ordered-block-bound"
 EQUIVARIANCE = "shift-equivariance"
 CONCAT_LIFT = "concat-lift"
-PLATEAU = "switch-plateau"
-HOM_STRUCTURE = "homogeneous-structure"
 
 
 @dataclass(frozen=True)
@@ -51,6 +49,8 @@ class SweepPlan:
 def plan_sweep(n: int, chunk_size: int = DEFAULT_CHUNK, mode: str = FULL) -> SweepPlan:
     if n < 1 or n % 2 == 0:
         raise ValueError(f"size must be odd and positive, got {n}")
+    if n > packed.MAX_N:
+        raise ValueError(f"size must be at most {packed.MAX_N}, got {n}")
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
     if chunk_size < 1:
@@ -187,8 +187,9 @@ def _sweep_chunk(
             record(PARITY_CONSERVED, c0[idx][packed.parity_bits(y) != par0[idx]], t)
             record(SWITCH_MONOTONE, c0[idx][s_y > s_x], t)
             doms = packed.domain_masks(x, n)
-            reducing = doms["D56r"] | doms["D78r"] | doms["D910r"] | doms["D912r"]
-            must_drop = (reducing != 0) | (packed.merge_mask(x, y, n) != 0)
+            must_drop = packed.merge_mask(x, y, n) != 0
+            for kind in metrics.REDUCING_KINDS:
+                must_drop |= doms[kind] != 0
             record(SWITCH_STRICT, c0[idx][must_drop & ~(s_y < s_x)], t)
             due = pend[idx]
             record(TWO_STEP_DECREASE, c0[idx][(due >= 0) & ~(s_y < due)], t)
@@ -360,44 +361,4 @@ def check_trajectory_invariants(
             break
         cur = nxt
         s_cur = s_next
-    return violations
-
-
-def check_plateau_structure(rule: RuleTable, x: Configuration) -> list[Violation]:
-    """Flag trajectories whose switch count freezes without converging.
-
-    A non-homogeneous start whose switch count is constant for the next
-    n^2 steps is reported; reaching a homogeneous state clears the flag
-    because the count drops to zero there. Homogeneous states met on the
-    way are additionally screened for patterns they can never contain,
-    as a scanner self-check.
-    """
-    violations: list[Violation] = []
-    witness = str(x)
-    n = x.n
-
-    def screen(state: Configuration, step: int) -> None:
-        if not metrics.homogeneous_structure_clean(state):
-            violations.append(
-                Violation(HOM_STRUCTURE, witness, step, detail=str(state))
-            )
-
-    if is_homogeneous(x):
-        screen(x, 0)
-        return violations
-
-    s0 = metrics.switches(x).s
-    cur = x
-    constant = True
-    for t in range(1, n * n + 1):
-        cur = engine.step(rule, cur)
-        if metrics.switches(cur).s != s0:
-            constant = False
-        if is_homogeneous(cur):
-            screen(cur, t)
-            break
-    if constant:
-        violations.append(
-            Violation(PLATEAU, witness, n * n, detail=f"s constant at {s0}")
-        )
     return violations

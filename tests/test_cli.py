@@ -166,6 +166,29 @@ def test_bad_sizes_exit_two(capsys):
         capsys.readouterr()
 
 
+def test_sizes_past_the_kernel_width_exit_two_at_once(capsys):
+    for bad in ("65", "3,65", "61..65", "1..1000000000000"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--sizes", bad])
+        assert exc.value.code == 2
+        assert "at most 63" in capsys.readouterr().err
+
+
+def test_search_without_a_size_to_check_exits_two(capsys):
+    for bad in ("0", "-5"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["search", "--max-size", bad])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+
+def test_evolve_negative_steps_exit_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["evolve", "--config", golden.FAULTY, "--steps", "-3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from parityca import engine as E
@@ -250,10 +249,3 @@ def test_report_json_shape():
     assert doc["boxes"] == []
     assert {d["kind"] for d in doc["domains"]} <= set(M.DOMAIN_KINDS)
     assert all(set(b) == {"start", "length", "maximal"} for b in doc["ordered_blocks"])
-
-
-def test_homogeneous_structure_clean():
-    assert M.homogeneous_structure_clean(L.parse("0" * 9))
-    assert M.homogeneous_structure_clean(L.parse("1" * 9))
-    with pytest.raises(ValueError):
-        M.homogeneous_structure_clean(L.parse("010"))
