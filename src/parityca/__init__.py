@@ -26,7 +26,6 @@ from .lattice import (
     EvenPower,
     InvalidCharacter,
     concat_power,
-    from_int,
     is_homogeneous,
     parity,
     parse,

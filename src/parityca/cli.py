@@ -39,6 +39,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _max_size(text: str) -> int:
+    value = _positive_int(text)
+    if value > packed.MAX_N:
+        raise argparse.ArgumentTypeError(f"must be at most {packed.MAX_N}: {text!r}")
+    return value
+
+
 def _sizes(text: str) -> list[int]:
     """Parse '1..21', '13' or '3,5,13' into a list of odd sizes."""
     too_large = argparse.ArgumentTypeError(f"sizes must be at most {packed.MAX_N}: {text!r}")
@@ -85,7 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=verifier.MODES, default=verifier.FULL)
     p.add_argument("--workers", type=_positive_int, default=_default_workers())
     p.add_argument("--budget", type=_positive_int, default=None)
-    p.add_argument("--chunk-size", type=_positive_int, default=verifier.DEFAULT_CHUNK)
     p.add_argument("--invariants", action="store_true",
                    help="also check the structural laws along every trajectory")
 
@@ -95,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="find misclassified configurations")
     p.add_argument("--rule", choices=VARIANTS, default=CORRECTED)
-    p.add_argument("--max-size", type=_positive_int, required=True)
+    p.add_argument("--max-size", type=_max_size, required=True)
     p.add_argument("--mode", choices=verifier.MODES, default=verifier.FULL)
     p.add_argument("--workers", type=_positive_int, default=_default_workers())
     p.add_argument("--budget", type=_positive_int, default=None)
@@ -165,7 +171,6 @@ def _cmd_verify(args) -> int:
             budget=args.budget,
             mode=args.mode,
             workers=args.workers,
-            chunk_size=args.chunk_size,
             invariants=args.invariants,
         )
         print(json.dumps(report.to_json()), flush=True)
@@ -183,8 +188,8 @@ def _cmd_rule(args) -> int:
         other = build_rule_table(ORIGINAL if args.variant == CORRECTED else CORRECTED)
         for code in sorted(table_diff(rule, other)):
             print(
-                f"{code:09b} {rule.variant}={rule.output(code)} "
-                f"{other.variant}={other.output(code)}"
+                f"{code:09b} {rule.variant}={rule.outputs[code]} "
+                f"{other.variant}={other.outputs[code]}"
             )
     return 0
 

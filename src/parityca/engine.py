@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import Configuration, is_homogeneous, parity
+from .lattice import Configuration
 from .rule import RuleTable
 
 _WINDOW_MASK = 0x1FF
@@ -169,14 +169,3 @@ def trajectory_json(rule: RuleTable, diagram: SpaceTimeDiagram, outcome: Outcome
         "rows": [str(row) for row in diagram.rows],
         "outcome": outcome_json(outcome),
     }
-
-
-def classification(outcome: Outcome) -> int | None:
-    """The homogeneous value the trajectory settled on, if it converged."""
-    if isinstance(outcome, Converged) and is_homogeneous(outcome.fixed_point):
-        return outcome.fixed_point.cell(0)
-    return None
-
-
-def classified_correctly(x: Configuration, outcome: Outcome) -> bool:
-    return classification(outcome) == parity(x)

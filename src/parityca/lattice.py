@@ -69,11 +69,6 @@ def parse(text: str) -> Configuration:
     return Configuration(n=len(text), bits=bits)
 
 
-def from_int(n: int, value: int) -> Configuration:
-    """Build a configuration of length n from its packed-integer encoding."""
-    return Configuration(n=n, bits=value)
-
-
 def parity(x: Configuration) -> int:
     """XOR of all cells: 0 for an even number of 1s, 1 for odd."""
     return x.bits.bit_count() & 1

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import engine
 from .lattice import Configuration
-from .rule import CORRECTED, build_rule_table
+
+# A box is the pair 01 at p+1, preceded by 1 and followed by 00.
+BOX = "10100"
 
 # The domain kinds of the proof, one row each: a hit of ``kind`` at p
 # means ``pattern`` occurs at p and ``unless`` (a longer pattern, or "")
@@ -74,7 +75,7 @@ def find_pattern(x: Configuration, pattern: str) -> list[int]:
 
 def find_boxes(x: Configuration) -> list[int]:
     """Positions i where cells (i, i+1) read 01 preceded by 1 and followed by 00."""
-    return [(p + 1) % x.n for p in find_pattern(x, "10100")]
+    return [(p + 1) % x.n for p in find_pattern(x, BOX)]
 
 
 def switches(x: Configuration) -> SwitchReport:
@@ -112,18 +113,14 @@ def find_domains(x: Configuration) -> list[DomainHit]:
     return sorted(hits, key=lambda hit: hit.pos)
 
 
-def merge_events(x: Configuration, rule=None) -> int:
-    """Count update sites where two blocks of 1s merge.
+def merge_events(x: Configuration, y: Configuration) -> int:
+    """Count update sites where two blocks of 1s merge; y is the image of x.
 
     A site is a D12 or D34 occurrence (``MERGE_SITES``); its 00 pair
     flips to 11, and the blocks merge precisely when the cell just after
     the site still holds 1 in the image, so the image cell is what gets
-    tested. The image is taken under the corrected rule unless another
-    is given.
+    tested.
     """
-    if rule is None:
-        rule = build_rule_table(CORRECTED)
-    y = engine.step(rule, x)
     count = 0
     for pattern in MERGE_SITES:
         for p in find_pattern(x, pattern):

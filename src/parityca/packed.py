@@ -2,9 +2,8 @@
 
 Each uint64 element holds one whole configuration, bit i = cell i, which
 lets a single bitwise operation process every cell of every configuration
-in the array at once. Cyclic-shift based kernels need 2n - 2 < 64, so
-they are good up to n = 31; ``batch_step`` only ever shifts by less than
-the width and works up to n = 63, wide enough for concatenation lifts.
+in the array at once. Every kernel shifts by less than the width, so
+all of them work up to n = 63, wide enough for concatenation lifts.
 """
 from __future__ import annotations
 
@@ -77,7 +76,7 @@ def match_mask(c: np.ndarray, n: int, pattern: str, offset: int = 0) -> np.ndarr
 
 def box_mask(c: np.ndarray, n: int) -> np.ndarray:
     """bit i set iff cells (i, i+1) form a box (01 after 1, before 00)."""
-    return match_mask(c, n, "10100", offset=-1)
+    return match_mask(c, n, metrics.BOX, offset=-1)
 
 
 def switch_counts(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -126,9 +126,6 @@ class RuleTable:
         if any(b not in (0, 1) for b in self.outputs):
             raise ValueError("table entries must be 0 or 1")
 
-    def output(self, code: int) -> int:
-        return self.outputs[code]
-
 
 @lru_cache(maxsize=None)
 def build_rule_table(variant: str) -> RuleTable:

@@ -4,20 +4,21 @@
 representative per rotation class) and classifies the outcomes; with
 ``invariants=True`` it additionally checks the structural laws along
 every trajectory. Work is partitioned into packed-integer chunks that
-workers process independently; chunk results merge into a report that is
-identical for any worker count.
+workers process independently; their tallies fold, in chunk order, into
+a report that is identical for any worker count and chunk size.
 """
 from __future__ import annotations
 
+import functools
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import engine, metrics, packed
 from .engine import Outcome
-from .lattice import Configuration, from_int, is_homogeneous, parity
-from .rule import RuleTable, build_rule_table
+from .lattice import Configuration, is_homogeneous, parity
+from .rule import RuleTable
 
 FULL = "full"
 NECKLACE = "necklace"
@@ -37,16 +38,8 @@ EQUIVARIANCE = "shift-equivariance"
 CONCAT_LIFT = "concat-lift"
 
 
-@dataclass(frozen=True)
-class SweepPlan:
-    """Disjoint covering chunks of the packed encoding space [0, 2^n)."""
-
-    n: int
-    mode: str
-    chunks: tuple[tuple[int, int], ...]
-
-
-def plan_sweep(n: int, chunk_size: int = DEFAULT_CHUNK, mode: str = FULL) -> SweepPlan:
+def plan_sweep(n: int, chunk_size: int = DEFAULT_CHUNK, mode: str = FULL) -> range:
+    """The first packed encodings of the chunks that cover [0, 2^n)."""
     if n < 1 or n % 2 == 0:
         raise ValueError(f"size must be odd and positive, got {n}")
     if n > packed.MAX_N:
@@ -55,11 +48,7 @@ def plan_sweep(n: int, chunk_size: int = DEFAULT_CHUNK, mode: str = FULL) -> Swe
         raise ValueError(f"unknown mode: {mode!r}")
     if chunk_size < 1:
         raise ValueError("chunk size must be positive")
-    total = 1 << n
-    chunks = tuple(
-        (lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)
-    )
-    return SweepPlan(n=n, mode=mode, chunks=chunks)
+    return range(0, 1 << n, chunk_size)
 
 
 @dataclass(frozen=True)
@@ -127,99 +116,108 @@ class VerificationReport:
         }
 
 
+@dataclass
+class _Tally:
+    """What a run of chunks found, with witnesses as packed encodings."""
+
+    checked: int = 0
+    correct: int = 0
+    wrong: list[int] = field(default_factory=list)
+    nonconv: list[int] = field(default_factory=list)
+    max_t0: int = -1
+    max_t0_arg: int = 0
+    violations: list[tuple[str, int, int, str]] = field(default_factory=list)
+
+    def add(self, later: _Tally) -> _Tally:
+        """Fold in the tally of the next chunk.
+
+        A later chunk only holds larger encodings, so on a tie of max_t0
+        the current witness is already the smallest.
+        """
+        self.checked += later.checked
+        self.correct += later.correct
+        self.wrong += later.wrong
+        self.nonconv += later.nonconv
+        self.violations += later.violations
+        if later.max_t0 > self.max_t0:
+            self.max_t0, self.max_t0_arg = later.max_t0, later.max_t0_arg
+        return self
+
+
 def _sweep_chunk(
-    rule: RuleTable, n: int, lo: int, hi: int, budget: int, mode: str, invariants: bool
-) -> dict:
-    """Evolve and classify one chunk of packed configurations."""
+    rule: RuleTable, n: int, chunk_size: int, budget: int, mode: str, invariants: bool,
+    lo: int,
+) -> _Tally:
+    """Evolve and classify the packed configurations [lo, lo + chunk_size).
+
+    Only live trajectories are stepped: a row leaves the arrays as soon as
+    it reaches a homogeneous state or a fixed point. Rows keep the
+    ascending order of their first states, ``start``, so the first row
+    that meets a condition is its smallest witness.
+    """
     lut = packed.lut64(rule)
     all_ones = packed.mask_of(n)
-    c0 = np.arange(lo, hi, dtype=np.uint64)
+    start = np.arange(lo, min(lo + chunk_size, 1 << n), dtype=np.uint64)
     if mode == NECKLACE:
-        c0 = c0[packed.necklace_mask(c0, n)]
-    result = {
-        "checked": int(c0.size),
-        "correct": 0,
-        "wrong": [],
-        "nonconv": [],
-        "max_t0": -1,
-        "max_t0_arg": None,
-        "violations": [],
-    }
-    if c0.size == 0:
-        return result
-    violations: list[tuple[str, int, int, str]] = result["violations"]
+        start = start[packed.necklace_mask(start, n)]
+    tally = _Tally(checked=int(start.size))
 
-    def record(invariant: str, witnesses: np.ndarray, step: int, detail: str = "") -> None:
-        for w in witnesses:
-            violations.append((invariant, int(w), step, detail))
+    def record(invariant: str, rows: np.ndarray, step: int, detail: str = "") -> None:
+        tally.violations.extend((invariant, int(w), step, detail) for w in start[rows])
 
-    par0 = packed.parity_bits(c0)
-    target = np.where(par0 == 1, all_ones, np.uint64(0))
-    cur = c0.copy()
-    t0 = np.zeros(c0.size, dtype=np.int64)
-    active = ~((cur == 0) | (cur == all_ones))
-
-    s_all = pend = None
+    target = np.where(packed.parity_bits(start) == 1, all_ones, np.uint64(0))
+    x = start
+    hom = (x == 0) | (x == all_ones)
+    s = pend = None
     if invariants:
-        s_all, _ = packed.switch_counts(c0, n)
-        hom0 = ~active
-        record(HOM_ZERO, c0[(s_all == 0) != hom0], 0)
-        for length, m in packed.ordered_block_length_masks(c0, n, 2 * n - 2).items():
+        s, _ = packed.switch_counts(x, n)
+        record(HOM_ZERO, (s == 0) != hom, 0)
+        for length, m in packed.ordered_block_length_masks(x, n, 2 * n - 2).items():
             if length > n + 1:
-                record(OB_BOUND, c0[m != 0], 0, f"length {length}")
-        y0 = packed.batch_step(lut, c0, n)
-        rot_then_step = packed.batch_step(lut, packed.rotl(c0, 1, n), n)
-        record(EQUIVARIANCE, c0[rot_then_step != packed.rotl(y0, 1, n)], 0)
+                record(OB_BOUND, m != 0, 0, f"length {length}")
+        y0 = packed.batch_step(lut, x, n)
+        rot_then_step = packed.batch_step(lut, packed.rotl(x, 1, n), n)
+        record(EQUIVARIANCE, rot_then_step != packed.rotl(y0, 1, n), 0)
         if 3 * n <= 63:
-            lifted = c0 | (c0 << np.uint64(n)) | (c0 << np.uint64(2 * n))
+            lifted = x | (x << np.uint64(n)) | (x << np.uint64(2 * n))
             expect = y0 | (y0 << np.uint64(n)) | (y0 << np.uint64(2 * n))
-            record(CONCAT_LIFT, c0[packed.batch_step(lut, lifted, 3 * n) != expect], 0)
-        pend = np.full(c0.size, -1, dtype=np.int64)
+            record(CONCAT_LIFT, packed.batch_step(lut, lifted, 3 * n) != expect, 0)
+        pend = np.full(x.size, -1, dtype=np.int64)
 
-    t = 0
-    while active.any() and t < budget:
-        idx = np.nonzero(active)[0]
-        x = cur[idx]
+    # A homogeneous state is its own target, so hom rows finish correct at t0 = 0.
+    done, right, t = hom, hom, 0
+    while True:
+        if right.any():
+            tally.correct += int(right.sum())
+            tally.max_t0, tally.max_t0_arg = t, int(start[right][0])
+        if done.any():
+            tally.wrong += [int(w) for w in start[done & ~right]]
+            live = ~done
+            x, start, target = x[live], start[live], target[live]
+            if invariants:
+                s, pend = s[live], pend[live]
+        if x.size == 0 or t >= budget:
+            break
         y = packed.batch_step(lut, x, n)
         if invariants:
-            s_x = s_all[idx]
             s_y, _ = packed.switch_counts(y, n)
-            record(PARITY_CONSERVED, c0[idx][packed.parity_bits(y) != par0[idx]], t)
-            record(SWITCH_MONOTONE, c0[idx][s_y > s_x], t)
+            record(PARITY_CONSERVED, packed.parity_bits(y) != (target & np.uint64(1)), t)
+            record(SWITCH_MONOTONE, s_y > s, t)
             doms = packed.domain_masks(x, n)
             must_drop = packed.merge_mask(x, y, n) != 0
             for kind in metrics.REDUCING_KINDS:
                 must_drop |= doms[kind] != 0
-            record(SWITCH_STRICT, c0[idx][must_drop & ~(s_y < s_x)], t)
-            due = pend[idx]
-            record(TWO_STEP_DECREASE, c0[idx][(due >= 0) & ~(s_y < due)], t)
-            pend[idx] = np.where((doms["D78b"] != 0) & ~(s_y < s_x), s_y, -1)
-            record(FIXED_POINT, c0[idx][y == x], t)
-            s_all[idx] = s_y
-        cur[idx] = y
+            record(SWITCH_STRICT, must_drop & ~(s_y < s), t)
+            record(TWO_STEP_DECREASE, (pend >= 0) & ~(s_y < pend), t)
+            pend = np.where((doms["D78b"] != 0) & ~(s_y < s), s_y, -1)
+            record(FIXED_POINT, y == x, t)
+            s = s_y
+        right = y == target
+        done = right | (y == 0) | (y == all_ones) | (y == x)
+        x = y
         t += 1
-        hom = (y == 0) | (y == all_ones)
-        fixed = (y == x) & ~hom
-        t0[idx[hom]] = t
-        t0[idx[fixed]] = t - 1
-        active[idx[hom | fixed]] = False
-
-    converged = ~active
-    right = converged & (cur == target)
-    result["correct"] = int(right.sum())
-    result["wrong"] = [int(v) for v in c0[converged & ~right]]
-    result["nonconv"] = [int(v) for v in c0[active]]
-    if right.any():
-        best = int(t0[right].max())
-        result["max_t0"] = best
-        result["max_t0_arg"] = int(c0[right][t0[right] == best].min())
-    return result
-
-
-def _chunk_task(args: tuple) -> dict:
-    variant, n, lo, hi, budget, mode, invariants = args
-    rule = build_rule_table(variant)
-    return _sweep_chunk(rule, n, lo, hi, budget, mode, invariants)
+    tally.nonconv = [int(w) for w in start]
+    return tally
 
 
 def verify_size(
@@ -234,60 +232,39 @@ def verify_size(
     """Sweep every configuration of size n and report the classification.
 
     The report is deterministic: chunk boundaries depend only on
-    ``chunk_size``, chunk results are merged in chunk order, and witness
+    ``chunk_size``, chunk tallies are folded in chunk order, and witness
     lists are kept sorted by packed encoding.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     if budget is None:
         budget = engine.default_budget(n)
-    plan = plan_sweep(n, chunk_size, mode)
-    tasks = [
-        (rule.variant, n, lo, hi, budget, mode, invariants) for lo, hi in plan.chunks
-    ]
-    if workers == 1 or len(tasks) == 1:
-        parts = [_chunk_task(task) for task in tasks]
+    chunks = plan_sweep(n, chunk_size, mode)
+    sweep = functools.partial(_sweep_chunk, rule, n, chunk_size, budget, mode, invariants)
+    if workers == 1 or len(chunks) == 1:
+        tally = functools.reduce(_Tally.add, map(sweep, chunks), _Tally())
     else:
         with multiprocessing.Pool(processes=workers) as pool:
-            parts = pool.map(_chunk_task, tasks)
-
-    checked = correct = 0
-    wrong: list[int] = []
-    nonconv: list[int] = []
-    raw_violations: list[tuple[str, int, int, str]] = []
-    max_t0 = -1
-    max_arg: int | None = None
-    for part in parts:
-        checked += part["checked"]
-        correct += part["correct"]
-        wrong.extend(part["wrong"])
-        nonconv.extend(part["nonconv"])
-        raw_violations.extend(part["violations"])
-        if part["max_t0"] > max_t0 or (
-            part["max_t0"] == max_t0
-            and part["max_t0_arg"] is not None
-            and (max_arg is None or part["max_t0_arg"] < max_arg)
-        ):
-            max_t0 = part["max_t0"]
-            max_arg = part["max_t0_arg"]
+            tally = functools.reduce(_Tally.add, pool.imap(sweep, chunks), _Tally())
 
     def replay(value: int) -> Counterexample:
-        config = from_int(n, value)
+        config = Configuration(n, value)
         return Counterexample(config=config, outcome=engine.evolve(rule, config, budget))
 
-    raw_violations.sort(key=lambda v: (v[1], v[2], v[0], v[3]))
+    tally.violations.sort(key=lambda v: (v[1], v[2], v[0], v[3]))
     return VerificationReport(
         rule=rule.variant,
         n=n,
         mode=mode,
-        checked=checked,
-        correct=correct,
-        wrong_class=tuple(replay(v) for v in sorted(wrong)),
-        non_converged=tuple(replay(v) for v in sorted(nonconv)),
-        max_t0=None if max_t0 < 0 else MaxT0(steps=max_t0, witness=from_int(n, max_arg)),
+        checked=tally.checked,
+        correct=tally.correct,
+        wrong_class=tuple(replay(v) for v in sorted(tally.wrong)),
+        non_converged=tuple(replay(v) for v in sorted(tally.nonconv)),
+        max_t0=None if tally.max_t0 < 0
+        else MaxT0(steps=tally.max_t0, witness=Configuration(n, tally.max_t0_arg)),
         violations=tuple(
-            Violation(invariant=iv, witness=str(from_int(n, w)), step=st, detail=dt)
-            for iv, w, st, dt in raw_violations
+            Violation(invariant=iv, witness=str(Configuration(n, w)), step=st, detail=dt)
+            for iv, w, st, dt in tally.violations
         ),
     )
 
@@ -298,14 +275,13 @@ def search_counterexamples(
     budget: int | None = None,
     mode: str = FULL,
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> list[tuple[int, Configuration, Outcome]]:
     """Scan sizes 1, 3, ..., n_max for misclassified configurations."""
+    if n_max > packed.MAX_N:
+        raise ValueError(f"size must be at most {packed.MAX_N}, got {n_max}")
     found: list[tuple[int, Configuration, Outcome]] = []
     for n in range(1, n_max + 1, 2):
-        report = verify_size(
-            rule, n, budget=budget, mode=mode, workers=workers, chunk_size=chunk_size
-        )
+        report = verify_size(rule, n, budget=budget, mode=mode, workers=workers)
         for ce in report.counterexamples():
             found.append((n, ce.config, ce.outcome))
     return found
@@ -349,7 +325,7 @@ def check_trajectory_invariants(
             flag(SWITCH_MONOTONE, t, f"s {s_cur} -> {s_next}")
         kinds = {h.kind for h in metrics.find_domains(cur)}
         must_drop = (
-            bool(kinds & metrics.REDUCING_KINDS) or metrics.merge_events(cur, rule) > 0
+            bool(kinds & metrics.REDUCING_KINDS) or metrics.merge_events(cur, nxt) > 0
         )
         if must_drop and not s_next < s_cur:
             flag(SWITCH_STRICT, t, f"s {s_cur} -> {s_next}")

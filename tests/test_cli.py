@@ -182,6 +182,15 @@ def test_search_without_a_size_to_check_exits_two(capsys):
         capsys.readouterr()
 
 
+def test_search_past_the_kernel_width_exits_two_at_once(capsys):
+    # Accepted, 65 would first sweep every size up to 63.
+    for bad in ("64", "65", "1000000000000"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["search", "--max-size", bad])
+        assert exc.value.code == 2
+        assert "at most 63" in capsys.readouterr().err
+
+
 def test_evolve_negative_steps_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["evolve", "--config", golden.FAULTY, "--steps", "-3"])

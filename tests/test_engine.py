@@ -13,7 +13,7 @@ ORIG = build_rule_table(ORIGINAL)
 
 odd_configs = st.integers(min_value=2, max_value=14).flatmap(
     lambda half: st.integers(min_value=0, max_value=(1 << (2 * half + 1)) - 1).map(
-        lambda bits: L.from_int(2 * half + 1, bits)
+        lambda bits: L.Configuration(2 * half + 1, bits)
     )
 )
 
@@ -93,7 +93,7 @@ def test_space_time_matches_published_rows():
 def test_parity_is_conserved_exhaustively_small():
     for n in (1, 3, 5, 7, 9):
         for bits in range(1 << n):
-            x = L.from_int(n, bits)
+            x = L.Configuration(n, bits)
             assert L.parity(E.step(CORR, x)) == L.parity(x)
 
 
@@ -103,14 +103,14 @@ def test_parity_is_conserved_randomized_large():
     rng = random.Random(4211)
     for _ in range(200):
         n = rng.choice(range(19, 64, 2))
-        x = L.from_int(n, rng.randrange(1 << n))
+        x = L.Configuration(n, rng.randrange(1 << n))
         assert L.parity(E.step(CORR, x)) == L.parity(x)
 
 
 def test_only_homogeneous_configurations_are_fixed_small():
     for n in (1, 3, 5, 7, 9):
         for bits in range(1 << n):
-            x = L.from_int(n, bits)
+            x = L.Configuration(n, bits)
             assert (E.step(CORR, x) == x) == L.is_homogeneous(x)
 
 
@@ -130,7 +130,7 @@ def test_concat_power_lift_commutes_with_step(x, k):
 def test_lift_consistency_exhaustive_tiny():
     for n in (1, 3, 5):
         for bits in range(1 << n):
-            x = L.from_int(n, bits)
+            x = L.Configuration(n, bits)
             assert E.step(CORR, L.concat_power(x, 3)) == L.concat_power(E.step(CORR, x), 3)
 
 
@@ -167,9 +167,3 @@ def test_trajectory_json_roundtrip():
     for before, after in zip(doc["rows"], doc["rows"][1:]):
         assert str(E.step(CORR, L.parse(before))) == after
 
-
-def test_classification_helpers():
-    x = L.parse(golden.FAULTY)
-    assert E.classified_correctly(x, E.evolve(CORR, x))
-    assert not E.classified_correctly(x, E.evolve(ORIG, x))
-    assert E.classification(E.BudgetExceeded(steps=3)) is None

@@ -6,7 +6,7 @@ from parityca import lattice as L
 
 odd_configs = st.integers(min_value=0, max_value=14).flatmap(
     lambda half: st.integers(min_value=0, max_value=(1 << (2 * half + 1)) - 1).map(
-        lambda bits: L.from_int(2 * half + 1, bits)
+        lambda bits: L.Configuration(2 * half + 1, bits)
     )
 )
 

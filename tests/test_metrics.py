@@ -10,7 +10,7 @@ CORR = build_rule_table(CORRECTED)
 
 odd_configs = st.integers(min_value=0, max_value=14).flatmap(
     lambda half: st.integers(min_value=0, max_value=(1 << (2 * half + 1)) - 1).map(
-        lambda bits: L.from_int(2 * half + 1, bits)
+        lambda bits: L.Configuration(2 * half + 1, bits)
     )
 )
 
@@ -57,7 +57,7 @@ def test_switch_count_along_the_sample_trajectory():
 def test_zero_switches_iff_homogeneous_exhaustive():
     for n in (1, 3, 5, 7, 9, 11):
         for bits in range(1 << n):
-            x = L.from_int(n, bits)
+            x = L.Configuration(n, bits)
             assert (M.switches(x).s == 0) == L.is_homogeneous(x)
 
 
@@ -117,7 +117,7 @@ def test_domains_against_window_oracle(x):
 def test_domain_variants_refine_their_base_patterns():
     for n in (7, 9, 11):
         for bits in range(1 << n):
-            x = L.from_int(n, bits)
+            x = L.Configuration(n, bits)
             kinds = {}
             for h in M.find_domains(x):
                 kinds.setdefault(h.pos, set()).add(h.kind)
@@ -131,18 +131,23 @@ def test_domain_variants_refine_their_base_patterns():
                 assert kinds[p] & {"D912r", "D912b"}
 
 
+def merges(text):
+    x = L.parse(text)
+    return M.merge_events(x, E.step(CORR, x))
+
+
 def test_merge_event_goldens():
-    assert M.merge_events(L.parse("11100111000")) == 1
-    assert M.merge_events(L.parse("0000000")) == 0
+    assert merges("11100111000") == 1
+    assert merges("0000000") == 0
     # the first update of the sample trajectory removes one switch pair
-    assert M.merge_events(L.parse(golden.SAMPLE19_ROWS[0])) == 1
+    assert merges(golden.SAMPLE19_ROWS[0]) == 1
 
 
 def test_merge_requires_the_bridge_to_survive_the_update():
     # 11100 with a following 1 that the update itself erases: no merge.
     x = L.parse("0111001101000")
-    assert M.merge_events(x) == 0
     y = E.step(CORR, x)
+    assert M.merge_events(x, y) == 0
     assert M.switches(y).s == M.switches(x).s  # and indeed nothing decreased
 
 

@@ -27,7 +27,7 @@ def sample_configs(n, count, seed):
 
 
 def as_config(n, value):
-    return L.from_int(n, int(value))
+    return L.Configuration(n, int(value))
 
 
 @pytest.mark.parametrize("n", EXHAUSTIVE_SIZES)
@@ -71,16 +71,20 @@ def mask_positions(mask_value, n):
     return [i for i in range(n) if (int(mask_value) >> i) & 1]
 
 
+def assert_domains_match(masks, row, x):
+    expected = {}
+    for hit in M.find_domains(x):
+        expected.setdefault(hit.kind, []).append(hit.pos)
+    for kind in M.DOMAIN_KINDS:
+        assert mask_positions(masks[kind][row], x.n) == sorted(expected.get(kind, []))
+
+
 @pytest.mark.parametrize("n", EXHAUSTIVE_SIZES)
 def test_domain_masks_match_metrics_exhaustively(n):
     c = all_configs(n)
     masks = P.domain_masks(c, n)
     for row, value in enumerate(c):
-        expected = {}
-        for hit in M.find_domains(as_config(n, value)):
-            expected.setdefault(hit.kind, []).append(hit.pos)
-        for kind in M.DOMAIN_KINDS:
-            assert mask_positions(masks[kind][row], n) == sorted(expected.get(kind, []))
+        assert_domains_match(masks, row, as_config(n, value))
 
 
 @pytest.mark.parametrize("n", (13, 19))
@@ -88,11 +92,7 @@ def test_domain_masks_match_metrics_sampled(n):
     c = sample_configs(n, 150, seed=7 * n)
     masks = P.domain_masks(c, n)
     for row, value in enumerate(c):
-        expected = {}
-        for hit in M.find_domains(as_config(n, value)):
-            expected.setdefault(hit.kind, []).append(hit.pos)
-        for kind in M.DOMAIN_KINDS:
-            assert mask_positions(masks[kind][row], n) == sorted(expected.get(kind, []))
+        assert_domains_match(masks, row, as_config(n, value))
 
 
 @pytest.mark.parametrize("n", EXHAUSTIVE_SIZES)
@@ -102,7 +102,8 @@ def test_merge_mask_matches_metrics_exhaustively(n):
     y = P.batch_step(lut, c, n)
     merged = P.merge_mask(c, y, n)
     for value, sites in zip(c, merged):
-        assert int(sites).bit_count() == M.merge_events(as_config(n, value))
+        x = as_config(n, value)
+        assert int(sites).bit_count() == M.merge_events(x, E.step(CORR, x))
 
 
 @pytest.mark.parametrize("n", (7, 9, 11))
@@ -194,8 +195,51 @@ def test_batch_step_handles_lifted_widths(k_half, data):
     # widths beyond 32 exercise the high-shift path used by lift checks
     n = 2 * k_half + 1
     bits = data.draw(st.integers(0, (1 << n) - 1))
-    x = L.from_int(n, bits)
+    x = L.Configuration(n, bits)
     lifted = L.concat_power(x, 3)
     lut = P.lut64(CORR)
     out = P.batch_step(lut, np.array([lifted.bits], dtype=np.uint64), lifted.n)
     assert int(out[0]) == E.step(CORR, lifted).bits
+
+
+# Odd rings from 33 cells up to the kernel width, where the shifts come
+# close to 64 bits.
+wide_rings = st.integers(16, P.MAX_N // 2).flatmap(
+    lambda half: st.integers(0, (1 << (2 * half + 1)) - 1).map(
+        lambda bits: L.Configuration(2 * half + 1, bits)
+    )
+)
+WIDE = settings(max_examples=60, deadline=None)
+
+
+def packed_ring(x):
+    return np.array([x.bits], dtype=np.uint64)
+
+
+@given(wide_rings, st.integers(-70, 70))
+@WIDE
+def test_rotl_matches_lattice_rotation_on_wide_rings(x, k):
+    assert int(P.rotl(packed_ring(x), k, x.n)[0]) == L.rotate(x, k).bits
+
+
+@given(wide_rings)
+@WIDE
+def test_switch_counts_match_metrics_on_wide_rings(x):
+    s, box = P.switch_counts(packed_ring(x), x.n)
+    report = M.switches(x)
+    assert int(s[0]) == report.s
+    assert mask_positions(box[0], x.n) == list(report.boxes)
+
+
+@given(wide_rings)
+@WIDE
+def test_domain_masks_match_metrics_on_wide_rings(x):
+    assert_domains_match(P.domain_masks(packed_ring(x), x.n), 0, x)
+
+
+@given(wide_rings)
+@WIDE
+def test_merge_mask_matches_metrics_on_wide_rings(x):
+    y = E.step(CORR, x)
+    sites = P.merge_mask(packed_ring(x), packed_ring(y), x.n)
+    assert int(sites[0]).bit_count() == M.merge_events(x, y)

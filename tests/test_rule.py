@@ -12,10 +12,10 @@ def codes(*strings):
 
 def test_known_single_outputs():
     table = R.build_rule_table(R.CORRECTED)
-    assert table.output(int("011100000", 2)) == 1  # T1 flips the centre
-    assert table.output(int("000100000", 2)) == 1  # T3 flips the centre
-    assert table.output(int("000000000", 2)) == 0
-    assert table.output(int("111111111", 2)) == 1
+    assert table.outputs[int("011100000", 2)] == 1  # T1 flips the centre
+    assert table.outputs[int("000100000", 2)] == 1  # T3 flips the centre
+    assert table.outputs[int("000000000", 2)] == 0
+    assert table.outputs[int("111111111", 2)] == 1
 
 
 @pytest.mark.parametrize("variant", R.VARIANTS)
@@ -25,7 +25,7 @@ def test_output_flips_iff_some_transition_matches(variant):
     for code in range(R.TABLE_SIZE):
         hit = any(at.matches(code) for at in ats)
         expected = R.center_bit(code) ^ (1 if hit else 0)
-        assert table.output(code) == expected
+        assert table.outputs[code] == expected
 
 
 def test_transition_patterns_have_fixed_centers():
@@ -59,7 +59,7 @@ def test_mirror_property_of_the_full_table():
     original = R.build_rule_table(R.ORIGINAL)
     for code in range(R.TABLE_SIZE):
         hit = any(at.matches(code) for at in swapped)
-        assert original.output(code) == R.center_bit(code) ^ (1 if hit else 0)
+        assert original.outputs[code] == R.center_bit(code) ^ (1 if hit else 0)
 
 
 def test_diff_is_empty_on_itself():

@@ -13,12 +13,10 @@ CORR = build_rule_table(CORRECTED)
 ORIG = build_rule_table(ORIGINAL)
 
 
-def test_plan_chunks_are_disjoint_and_covering():
-    plan = V.plan_sweep(13, chunk_size=1000)
-    assert plan.chunks[0][0] == 0
-    assert plan.chunks[-1][1] == 1 << 13
-    for (_, hi), (lo, _) in zip(plan.chunks, plan.chunks[1:]):
-        assert hi == lo
+def test_plan_is_a_lazy_range_of_chunk_starts():
+    assert V.plan_sweep(13, chunk_size=1000) == range(0, 1 << 13, 1000)
+    # Nothing is built per chunk, so even the widest size plans at once.
+    assert len(V.plan_sweep(61)) == 1 << 45
     with pytest.raises(ValueError):
         V.plan_sweep(4)
     with pytest.raises(ValueError):
@@ -31,6 +29,15 @@ def test_sizes_past_the_kernel_width_are_rejected_at_once():
         V.plan_sweep(65)
     with pytest.raises(ValueError, match="at most 63"):
         V.verify_size(CORR, 65)
+
+
+def test_search_past_the_kernel_width_is_rejected_before_sweeping(monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept a size before checking the limit")
+
+    monkeypatch.setattr(V, "verify_size", no_sweep)
+    with pytest.raises(ValueError, match="at most 63"):
+        V.search_counterexamples(CORR, 65)
 
 
 def test_verify_size_n1_both_fixed_points():
@@ -140,7 +147,7 @@ def test_sweep_classification_agrees_with_evolve_sampled():
     report = V.verify_size(CORR, 19)
     assert report.passed
     for _ in range(40):
-        x = L.from_int(19, rng.randrange(1 << 19))
+        x = L.Configuration(19, rng.randrange(1 << 19))
         outcome = E.evolve(CORR, x)
         assert isinstance(outcome, E.Converged)
         assert outcome.t0 <= report.max_t0.steps
@@ -160,7 +167,7 @@ def test_trajectory_invariants_homogeneous_is_trivially_clean():
 def test_trajectory_invariants_exhaustive_tiny():
     for n in (1, 3, 5, 7):
         for bits in range(1 << n):
-            assert V.check_trajectory_invariants(CORR, L.from_int(n, bits)) == []
+            assert V.check_trajectory_invariants(CORR, L.Configuration(n, bits)) == []
 
 
 def test_trajectory_invariants_hold_even_for_the_original_on_the_faulty_cycle():
@@ -200,7 +207,7 @@ def test_vectorized_and_reference_checkers_agree_on_random_cases():
     rng = random.Random(20240817)
     for _ in range(40):
         n = rng.choice([9, 11, 13])
-        x = L.from_int(n, rng.randrange(1 << n))
+        x = L.Configuration(n, rng.randrange(1 << n))
         assert V.check_trajectory_invariants(CORR, x) == []
     # and on a rule where violations do occur, both paths find some
     report = V.verify_size(ORIG, 13, invariants=True)
