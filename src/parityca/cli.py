@@ -15,13 +15,6 @@ from .rule import CORRECTED, ORIGINAL, VARIANTS, build_rule_table, table_diff, \
 WORKERS_ENV = "PARITYCA_WORKERS"
 
 
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def _nonnegative_int(text: str) -> int:
     try:
         value = int(text)
@@ -90,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", choices=VARIANTS, default=CORRECTED)
     p.add_argument("--sizes", type=_sizes, required=True)
     p.add_argument("--mode", choices=verifier.MODES, default=verifier.FULL)
-    p.add_argument("--workers", type=_positive_int, default=_default_workers())
+    p.add_argument("--workers", type=_positive_int, default=None,
+                   help=f"worker processes (default: ${WORKERS_ENV}, else 1)")
     p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--invariants", action="store_true",
                    help="also check the structural laws along every trajectory")
@@ -103,7 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", choices=VARIANTS, default=CORRECTED)
     p.add_argument("--max-size", type=_max_size, required=True)
     p.add_argument("--mode", choices=verifier.MODES, default=verifier.FULL)
-    p.add_argument("--workers", type=_positive_int, default=_default_workers())
+    p.add_argument("--workers", type=_positive_int, default=None,
+                   help=f"worker processes (default: ${WORKERS_ENV}, else 1)")
     p.add_argument("--budget", type=_positive_int, default=None)
     return parser
 
@@ -220,6 +215,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "workers", 1) is None:
+        try:
+            args.workers = _positive_int(os.environ.get(WORKERS_ENV, "1"))
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"{WORKERS_ENV}: {exc}")
     try:
         return _COMMANDS[args.command](args)
     except ConfigurationError as exc:

@@ -4,8 +4,14 @@ Each uint64 element holds one whole configuration, bit i = cell i, which
 lets a single bitwise operation process every cell of every configuration
 in the array at once. Every kernel shifts by less than the width, so
 all of them work up to n = 63, wide enough for concatenation lifts.
+
+``batch_step`` updates eight cells per table lookup: ``lut64`` maps each
+16-cell window to the next state of the eight cells at its middle, so a
+ring of n cells costs ceil(n / 8) gathers per step.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -16,12 +22,27 @@ from .rule import RuleTable
 MAX_N = 63
 
 _U = np.uint64
-_ONE = _U(1)
-_WINDOW = _U(0x1FF)
 
 
+@lru_cache(maxsize=8)
 def lut64(rule: RuleTable) -> np.ndarray:
-    return np.frombuffer(rule.outputs, dtype=np.uint8).astype(np.uint64)
+    """The 65,536-entry table of batch_step, shared and read-only.
+
+    Entry w is the next state of cells 4 .. 11 of the 16-cell window w,
+    window cell j at bit j. It is built in two levels: a 4,096-entry
+    table for cells 4 .. 7 of each 12-cell window, then two of its
+    entries per 16-cell window.
+    """
+    # rule.outputs has the leftmost of the nine cells at bit 8; nine has it at bit 0.
+    codes = np.arange(1 << 9)
+    reversed_codes = sum(((codes >> j) & 1) << (8 - j) for j in range(9))
+    nine = np.frombuffer(rule.outputs, dtype=np.uint8)[reversed_codes]
+    window = np.arange(1 << 12)
+    quad = sum(nine[(window >> i) & 0x1FF] << np.uint8(i) for i in range(4))
+    window = np.arange(1 << 16)
+    table = quad[window & 0xFFF] | (quad[window >> 4] << np.uint8(4))
+    table.flags.writeable = False
+    return table
 
 
 def mask_of(n: int) -> np.uint64:
@@ -47,17 +68,27 @@ def parity_bits(v: np.ndarray) -> np.ndarray:
 def batch_step(lut: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     """Apply the rule once to every packed configuration in c.
 
-    The nine-bit window code slides one cell per iteration: shift in the
-    next cell, mask to nine bits, gather the outputs.
+    ``lut`` is ``lut64(rule)``. Cells k .. k+7 come from one gather at
+    the window that starts at cell k - 4, and fill byte k / 8 of the
+    result. The window is read from the ring repeated up to bit 63,
+    which also covers rings narrower than the window; where it would
+    run past bit 63 (some groups for n > 52), from a rotation of c.
     """
-    code = np.zeros_like(c)
-    for j in range(-4, 5):
-        code = (code << _ONE) | ((c >> _U(j % n)) & _ONE)
-    out = lut[code]
-    for i in range(1, n):
-        code = ((code << _ONE) & _WINDOW) | ((c >> _U((i + 4) % n)) & _ONE)
-        out |= lut[code] << _U(i)
-    return out
+    ext = c
+    width = n
+    while width < 64:
+        ext = ext | (ext << _U(width))
+        width *= 2
+    out = np.zeros(c.shape, dtype="<u8")  # little-endian: byte g is cells 8g .. 8g+7
+    out_bytes = out.view(np.uint8).reshape(-1, 8)
+    for group, k in enumerate(range(0, n, 8)):
+        start = (k - 4) % n
+        if start + 16 <= 64:
+            window = ext >> _U(start)
+        else:
+            window = rotl(c, start, n)
+        out_bytes[:, group] = lut[(window & _U(0xFFFF)).astype(np.intp)]
+    return out & mask_of(n)
 
 
 def _match(cells: list[np.ndarray], pattern: str) -> np.ndarray:

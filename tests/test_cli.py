@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from parityca import cli
+from parityca import cli, verifier
 from parityca import engine as E
 from parityca import lattice as L
 from parityca.rule import CORRECTED, build_rule_table
@@ -189,6 +189,36 @@ def test_search_past_the_kernel_width_exits_two_at_once(capsys):
             cli.main(["search", "--max-size", bad])
         assert exc.value.code == 2
         assert "at most 63" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["abc", "0", "-4"])
+@pytest.mark.parametrize("command", [["verify", "--sizes", "3"], ["search", "--max-size", "3"]],
+                         ids=["verify", "search"])
+def test_bad_workers_variable_exits_two(monkeypatch, capsys, command, bad):
+    monkeypatch.setenv(cli.WORKERS_ENV, bad)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert cli.WORKERS_ENV in captured.err
+
+
+def test_workers_come_from_the_variable_else_one(monkeypatch, capsys):
+    seen = []
+    real = verifier.verify_size
+
+    def spy(rule, n, **kwargs):
+        seen.append(kwargs["workers"])
+        return real(rule, n, **dict(kwargs, workers=1))
+
+    monkeypatch.setattr(verifier, "verify_size", spy)
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    assert run(capsys, "verify", "--sizes", "3")[0] == 0
+    monkeypatch.setenv(cli.WORKERS_ENV, "3")
+    assert run(capsys, "verify", "--sizes", "3")[0] == 0
+    assert run(capsys, "verify", "--sizes", "3", "--workers", "2")[0] == 0
+    assert seen == [1, 3, 2]
 
 
 def test_evolve_negative_steps_exit_two(capsys):

@@ -40,13 +40,32 @@ def test_batch_step_matches_engine_exhaustively(n, rule):
         assert int(out) == E.step(rule, as_config(n, value)).bits
 
 
-@pytest.mark.parametrize("n", (13, 17, 21, 29))
+# Every odd width from 13 up: every window comes from the repeated ring up
+# to n = 51, and some from a rotation of the ring from n = 53.
+@pytest.mark.parametrize("n", range(13, P.MAX_N + 1, 2))
 def test_batch_step_matches_engine_sampled(n):
-    lut = P.lut64(CORR)
     c = sample_configs(n, 300, seed=n)
-    stepped = P.batch_step(lut, c, n)
-    for value, out in zip(c, stepped):
-        assert int(out) == E.step(CORR, as_config(n, value)).bits
+    for rule in (CORR, ORIG):
+        stepped = P.batch_step(P.lut64(rule), c, n)
+        for value, out in zip(c, stepped):
+            assert int(out) == E.step(rule, as_config(n, value)).bits
+
+
+@pytest.mark.parametrize("rule", [CORR, ORIG], ids=["corrected", "original"])
+def test_lut64_entry_is_eight_rule_lookups(rule):
+    window = np.arange(1 << 16)
+    expected = np.zeros_like(window)
+    for i in range(8):
+        # rule.outputs reads window cells i .. i+8, the leftmost at bit 8
+        code = sum(((window >> (i + j)) & 1) << (8 - j) for j in range(9))
+        expected |= np.frombuffer(rule.outputs, dtype=np.uint8)[code].astype(int) << i
+    assert (P.lut64(rule) == expected).all()
+
+
+def test_lut64_is_built_once_per_rule_and_read_only():
+    assert P.lut64(CORR) is P.lut64(CORR)
+    assert P.lut64(ORIG) is not P.lut64(CORR)
+    assert not P.lut64(CORR).flags.writeable
 
 
 @pytest.mark.parametrize("n", EXHAUSTIVE_SIZES)
