@@ -8,6 +8,13 @@ all of them work up to n = 63, wide enough for concatenation lifts.
 ``batch_step`` updates eight cells per table lookup: ``lut64`` maps each
 16-cell window to the next state of the eight cells at its middle, so a
 ring of n cells costs ceil(n / 8) gathers per step.
+
+``necklaces`` lists the least rotation of every class in a range of
+encodings without building the range. It walks the prenecklace tree,
+whose nodes number a small multiple of the necklaces (1.6 M nodes for
+the 364,724 necklaces of n = 23), where filtering compares each of the
+2^n encodings with its n - 1 rotations. ``necklace_mask`` stays as the
+plain reference oracle for it.
 """
 from __future__ import annotations
 
@@ -74,21 +81,26 @@ def batch_step(lut: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     which also covers rings narrower than the window; where it would
     run past bit 63 (some groups for n > 52), from a rotation of c.
     """
-    ext = c
+    # The uint64 passes write into ext, buf or out: where malloc maps each
+    # fresh temporary, its page faults cost more than the gathers.
+    ext = np.array(c, dtype=_U)
+    buf = np.empty_like(ext)
     width = n
     while width < 64:
-        ext = ext | (ext << _U(width))
+        ext |= np.left_shift(ext, _U(width), out=buf)
         width *= 2
     out = np.zeros(c.shape, dtype="<u8")  # little-endian: byte g is cells 8g .. 8g+7
     out_bytes = out.view(np.uint8).reshape(-1, 8)
     for group, k in enumerate(range(0, n, 8)):
         start = (k - 4) % n
         if start + 16 <= 64:
-            window = ext >> _U(start)
+            np.right_shift(ext, _U(start), out=buf)
         else:
-            window = rotl(c, start, n)
-        out_bytes[:, group] = lut[(window & _U(0xFFFF)).astype(np.intp)]
-    return out & mask_of(n)
+            buf[...] = rotl(c, start, n)
+        buf &= _U(0xFFFF)
+        out_bytes[:, group] = lut.take(buf.view(np.int64))
+    out &= mask_of(n)
+    return out
 
 
 def _match(cells: list[np.ndarray], pattern: str) -> np.ndarray:
@@ -168,8 +180,46 @@ def ordered_block_length_masks(
     return out
 
 
+def necklaces(n: int, lo: int, hi: int) -> np.ndarray:
+    """The encodings in [lo, hi) that are least in their rotation class.
+
+    Ascending, as uint64. The encoding read from bit n - 1 down is a
+    string whose integer order is its lexicographic order, so these are
+    the binary necklaces of length n. They are the leaves of the
+    Fredricksen-Kessler-Maiorana prenecklace tree (Ruskey, Savage and
+    Wang, Generating necklaces, 1992) whose Lyndon period p divides n,
+    built here one level at a time. A node at depth t is a word w of t
+    bits with the first bit highest; its children append the bit p
+    places back, keeping p, and where that bit is 0 also a 1, which
+    makes the word a Lyndon word of period t + 1. Nodes whose
+    completions all miss [lo, hi) are dropped.
+    """
+    w = np.zeros(1, dtype=_U)
+    p = np.ones(1, dtype=_U)
+    lo, hi = _U(lo), _U(hi)
+    for t in range(n):
+        ref = (w >> (p - _U(1))) & _U(1)
+        fork = ref == 0
+        w = np.concatenate((w << _U(1) | ref, w[fork] << _U(1) | _U(1)))
+        p = np.concatenate((p, np.full(int(fork.sum()), t + 1, dtype=_U)))
+        r = _U(n - t - 1)
+        hit = ((w + _U(1)) << r > lo) & (w << r < hi)
+        w, p = w[hit], p[hit]
+        if w.size == 0:
+            break
+    w = w[_U(n) % p == 0]
+    w.sort()
+    return w
+
+
 def necklace_mask(c: np.ndarray, n: int) -> np.ndarray:
-    """True where c is the least element of its rotation class."""
+    """True where c is the least element of its rotation class.
+
+    The plain reference oracle for ``necklaces``: it compares every
+    encoding with each of its rotations. It is kept for the tests, which
+    compare the generator with it, and for the benchmark's tracer, which
+    wraps it by name.
+    """
     keep = np.ones(c.shape, dtype=bool)
     for k in range(1, n):
         keep &= c <= rotl(c, k, n)

@@ -157,9 +157,11 @@ def _sweep_chunk(
     """
     lut = packed.lut64(rule)
     all_ones = packed.mask_of(n)
-    start = np.arange(lo, min(lo + chunk_size, 1 << n), dtype=np.uint64)
+    hi = min(lo + chunk_size, 1 << n)
     if mode == NECKLACE:
-        start = start[packed.necklace_mask(start, n)]
+        start = packed.necklaces(n, lo, hi)
+    else:
+        start = np.arange(lo, hi, dtype=np.uint64)
     tally = _Tally(checked=int(start.size))
 
     def record(invariant: str, rows: np.ndarray, step: int, detail: str = "") -> None:

@@ -3,7 +3,9 @@
 The two trajectory tables and the switch-count sequence are transcribed
 from the published reference diagrams for this rule family; the
 ordered-block samples come from the published annotated configurations.
+``necklace_count`` is the closed-form count the necklace sweeps must hit.
 """
+import math
 
 FAULTY = "0001110101001"
 
@@ -105,3 +107,13 @@ CORRECTED_RULE_NUMBER = (
     "4126592211732878316055036275868139520320981134"
     "1541376"
 )
+
+
+def necklace_count(n):
+    """Burnside count of binary necklaces of length n."""
+    total = 0
+    for d in range(1, n + 1):
+        if n % d == 0:
+            phi = sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
+            total += phi * (1 << (n // d))
+    return total // n

@@ -85,9 +85,9 @@ def test_criterion_4_extended_sizes():
 @pytest.mark.skipif(EXTENDED < 2, reason="set PARITYCA_EXTENDED=2 for necklace 27/29")
 def test_criterion_4_necklace_sizes():
     ok = True
-    for n in (27, 29):
+    for n, classes in ((27, 4_971_068), (29, 18_512_792)):
         rep = V.verify_size(CORR, n, mode="necklace", workers=8)
-        ok = ok and rep.passed and rep.correct == rep.checked
+        ok = ok and rep.passed and rep.correct == rep.checked == classes
     report("4-necklace", ok)
 
 

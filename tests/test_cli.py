@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -127,6 +128,22 @@ def test_verify_necklace_mode(capsys):
     doc = json.loads(out)
     assert doc["mode"] == "necklace"
     assert doc["checked"] == 60  # binary necklaces of length 9
+
+
+# The sha256 of the whole stdout of two verify runs, one per sweep mode:
+# a change to any report byte fails here.
+PINNED_REPORTS = [
+    (("--sizes", "9..15", "--invariants"),
+     "97756420f2f81254b4f9a92ccc19ccdd4f1e46c19d7069720a5dd79c582e92dd"),
+    (("--sizes", "1..21", "--mode", "necklace"),
+     "1a10dcd80bf3c62122244bf0f695bd0716e37130f8657edcf1e9349f408a423d"),
+]
+
+
+@pytest.mark.parametrize("args, digest", PINNED_REPORTS, ids=["invariants", "necklace"])
+def test_verify_reports_are_pinned(capsys, args, digest):
+    _, out, _ = run(capsys, "verify", "--rule", "original", *args)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_search_prints_counterexamples_and_exits_one(capsys):

@@ -1,6 +1,4 @@
 """The numpy kernels must agree with the pure-Python reference everywhere."""
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +8,7 @@ from parityca import lattice as L
 from parityca import metrics as M
 from parityca import packed as P
 from parityca.rule import CORRECTED, ORIGINAL, build_rule_table
+from golden import necklace_count
 
 CORR = build_rule_table(CORRECTED)
 ORIG = build_rule_table(ORIGINAL)
@@ -175,16 +174,6 @@ def test_rotl_matches_lattice_rotation():
                 assert int(out) == L.rotate(as_config(n, value), k).bits
 
 
-def necklace_count(n):
-    """Burnside count of binary necklaces of length n."""
-    total = 0
-    for d in range(1, n + 1):
-        if n % d == 0:
-            phi = sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
-            total += phi * (1 << (n // d))
-    return total // n
-
-
 @pytest.mark.parametrize("n", (1, 3, 5, 7, 9, 11, 13))
 def test_necklace_mask_picks_minimal_rotations(n):
     c = all_configs(n)
@@ -198,6 +187,48 @@ def test_necklace_mask_picks_minimal_rotations(n):
     for value in range(1 << n):
         x = as_config(n, value)
         assert min(L.rotate(x, k).bits for k in range(n)) in reps
+
+
+def necklace_oracle(n, lo, hi):
+    c = np.arange(lo, hi, dtype=np.uint64)
+    return c[P.necklace_mask(c, n)]
+
+
+@pytest.mark.parametrize("chunk", (50, 777, 4096, 65536))
+@pytest.mark.parametrize("n", range(1, 18, 2))
+def test_necklaces_match_the_oracle_on_every_chunk(n, chunk):
+    for lo in range(0, 1 << n, chunk):
+        hi = min(lo + chunk, 1 << n)
+        assert np.array_equal(P.necklaces(n, lo, hi), necklace_oracle(n, lo, hi))
+
+
+@pytest.mark.parametrize("n", range(1, 18, 2))
+def test_necklaces_match_the_oracle_between_edges(n):
+    edges = (0, 1 << (n - 1), 1 << n)
+    for lo in edges:
+        for hi in edges:
+            if lo <= hi:
+                assert np.array_equal(P.necklaces(n, lo, hi), necklace_oracle(n, lo, hi))
+
+
+@pytest.mark.parametrize("n", range(1, 22))
+def test_necklaces_over_the_full_range_are_counted_and_ascending(n):
+    reps = P.necklaces(n, 0, 1 << n)
+    assert reps.dtype == np.uint64
+    assert reps.size == necklace_count(n)
+    assert (np.diff(reps.astype(np.int64)) > 0).all()
+
+
+# Windows whose start has at least `zeros` leading zero bits: necklaces are
+# dense where there are many, and zeros = 0 puts the start anywhere.
+@given(st.integers(9, P.MAX_N // 2), st.data())
+@settings(max_examples=60, deadline=None)
+def test_necklaces_match_the_oracle_on_wide_windows(half, data):
+    n = 2 * half + 1
+    zeros = data.draw(st.integers(0, n))
+    lo = data.draw(st.integers(0, (1 << (n - zeros)) - 1))
+    hi = min(lo + data.draw(st.integers(0, 4096)), 1 << n)
+    assert np.array_equal(P.necklaces(n, lo, hi), necklace_oracle(n, lo, hi))
 
 
 def test_parity_bits_match_lattice():

@@ -97,6 +97,7 @@ def test_necklace_mode_agrees_with_full_mode():
         full = V.verify_size(CORR, n)
         neck = V.verify_size(CORR, n, mode="necklace")
         assert neck.checked < full.checked or n == 1
+        assert neck.checked == golden.necklace_count(n)
         assert neck.correct == neck.checked
         assert neck.max_t0.steps == full.max_t0.steps  # t0 is rotation invariant
         assert full.correct == full.checked
