@@ -23,9 +23,7 @@ from .lattice import (
     ConfigurationError,
     EmptyConfiguration,
     EvenLength,
-    EvenPower,
     InvalidCharacter,
-    concat_power,
     is_homogeneous,
     parity,
     parse,
@@ -49,7 +47,6 @@ from .rule import (
     ORIGINAL,
     ActiveTransition,
     RuleTable,
-    active_neighborhoods,
     build_rule_table,
     table_diff,
     table_string,

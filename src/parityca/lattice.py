@@ -20,10 +20,6 @@ class InvalidCharacter(ConfigurationError):
     pass
 
 
-class EvenPower(ConfigurationError):
-    """Concatenation powers must be odd to keep the length odd."""
-
-
 @dataclass(frozen=True)
 class Configuration:
     """A ring of n binary cells, bit-packed with cell i at bit i.
@@ -87,13 +83,3 @@ def rotate(x: Configuration, k: int) -> Configuration:
     mask = (1 << n) - 1
     bits = ((x.bits >> k) | (x.bits << (n - k))) & mask
     return Configuration(n=n, bits=bits)
-
-
-def concat_power(x: Configuration, k: int) -> Configuration:
-    """k copies of x laid around a ring of length k*n, for odd k >= 1."""
-    if k < 1 or k % 2 == 0:
-        raise EvenPower(f"power must be odd and positive, got {k}")
-    bits = 0
-    for c in range(k):
-        bits |= x.bits << (c * x.n)
-    return Configuration(n=k * x.n, bits=bits)

@@ -7,7 +7,10 @@ all of them work up to n = 63, wide enough for concatenation lifts.
 
 ``batch_step`` updates eight cells per table lookup: ``lut64`` maps each
 16-cell window to the next state of the eight cells at its middle, so a
-ring of n cells costs ceil(n / 8) gathers per step.
+ring of n cells costs ceil(n / 8) gathers per step. The invariant sweep
+reads its per-step switch counts and domain flags the same way, through
+``window_gather``, from the ``invariant_tables`` that the mask functions
+(``switch_gaps``, ``domain_masks``, ``merge_mask``) fill once per rule.
 
 ``necklaces`` lists the least rotation of every class in a range of
 encodings without building the range. It walks the prenecklace tree,
@@ -19,6 +22,7 @@ plain reference oracle for it.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,35 +76,46 @@ def parity_bits(v: np.ndarray) -> np.ndarray:
     return np.bitwise_count(v) & np.uint8(1)
 
 
-def batch_step(lut: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
-    """Apply the rule once to every packed configuration in c.
+def window_gather(
+    table: np.ndarray, c: np.ndarray, n: int, lead: int, width: int
+) -> np.ndarray:
+    """Look up eight cells of every packed configuration in c per gather.
 
-    ``lut`` is ``lut64(rule)``. Cells k .. k+7 come from one gather at
-    the window that starts at cell k - 4, and fill byte k / 8 of the
-    result. The window is read from the ring repeated up to bit 63,
-    which also covers rings narrower than the window; where it would
-    run past bit 63 (some groups for n > 52), from a rotation of c.
+    Byte k / 8 of the little-endian n-bit result is ``table`` at the
+    ``width``-cell window that starts at cell k - lead. The window is read
+    from the ring repeated up to bit 63, which also covers rings narrower
+    than the window; where it would run past bit 63, which only happens
+    for rings wider than 65 - width cells, from a rotation of c.
     """
     # The uint64 passes write into ext, buf or out: where malloc maps each
     # fresh temporary, its page faults cost more than the gathers.
     ext = np.array(c, dtype=_U)
     buf = np.empty_like(ext)
-    width = n
-    while width < 64:
-        ext |= np.left_shift(ext, _U(width), out=buf)
-        width *= 2
+    span = n
+    while span < 64:
+        ext |= np.left_shift(ext, _U(span), out=buf)
+        span *= 2
     out = np.zeros(c.shape, dtype="<u8")  # little-endian: byte g is cells 8g .. 8g+7
     out_bytes = out.view(np.uint8).reshape(-1, 8)
     for group, k in enumerate(range(0, n, 8)):
-        start = (k - 4) % n
-        if start + 16 <= 64:
+        start = (k - lead) % n
+        if start + width <= 64:
             np.right_shift(ext, _U(start), out=buf)
         else:
             buf[...] = rotl(c, start, n)
-        buf &= _U(0xFFFF)
-        out_bytes[:, group] = lut.take(buf.view(np.int64))
+        buf &= _U((1 << width) - 1)
+        out_bytes[:, group] = table.take(buf.view(np.int64))
     out &= mask_of(n)
     return out
+
+
+def batch_step(lut: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+    """Apply the rule once to every packed configuration in c.
+
+    ``lut`` is ``lut64(rule)``: cells k .. k+7 come from the 16-cell
+    window that starts at cell k - 4.
+    """
+    return window_gather(lut, c, n, 4, 16)
 
 
 def _match(cells: list[np.ndarray], pattern: str) -> np.ndarray:
@@ -122,15 +137,23 @@ def box_mask(c: np.ndarray, n: int) -> np.ndarray:
     return match_mask(c, n, metrics.BOX, offset=-1)
 
 
-def switch_counts(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Total switch count per configuration, plus the box start mask."""
-    mask = mask_of(n)
+def switch_gaps(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """bit i set iff gap i is a switch, plus the box start mask.
+
+    A gap is a regular switch or a block switch (a box starts at i + 1);
+    no gap is both, since a regular switch keeps clear of box cells.
+    """
     box = box_mask(c, n)
     box_cells = box | rotl(box, -1, n)
-    diff = (c ^ rotl(c, 1, n)) & mask
+    diff = c ^ rotl(c, 1, n)
     regular = diff & ~box_cells & ~rotl(box_cells, 1, n)
-    s = np.bitwise_count(regular).astype(np.int64) + np.bitwise_count(box).astype(np.int64)
-    return s, box
+    return (regular | rotl(box, 1, n)) & mask_of(n), box
+
+
+def switch_counts(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Total switch count per configuration, plus the box start mask."""
+    gaps, box = switch_gaps(c, n)
+    return np.bitwise_count(gaps).astype(np.int64), box
 
 
 def domain_masks(c: np.ndarray, n: int) -> dict[str, np.ndarray]:
@@ -153,6 +176,63 @@ def merge_mask(c: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     for pattern in metrics.MERGE_SITES:
         sites |= match_mask(c, n, pattern)
     return sites & rotl(y, 5, n)
+
+
+class WindowTable(NamedTuple):
+    """A lookup table for ``window_gather``, with the window it reads.
+
+    Entry w holds the flags of cells (or gaps) k .. k+7 for the
+    ``width``-cell window w that starts at cell k - ``lead``.
+    """
+
+    entries: np.ndarray
+    lead: int
+    width: int
+
+    def gather(self, c: np.ndarray, n: int) -> np.ndarray:
+        return window_gather(self.entries, c, n, self.lead, self.width)
+
+
+class InvariantTables(NamedTuple):
+    """The per-step quantities of the invariant sweep, by window lookup.
+
+    ``switch`` flags the gaps that are switches (gap i needs cells
+    i-2 .. i+4). ``drop`` flags the cells where a reducing domain or a
+    merge starts, and ``d78b`` where a D78b domain starts; both read the
+    unstepped configuration, and a merge at p needs cells p .. p+9,
+    because it reads the stepped cell p + 5.
+    """
+
+    switch: WindowTable
+    drop: WindowTable
+    d78b: WindowTable
+
+
+def _window_table(mask: np.ndarray, lead: int, width: int) -> WindowTable:
+    """Flags of positions lead .. lead+7 of every width-cell ring."""
+    entries = ((mask >> _U(lead)) & _U(0xFF)).astype(np.uint8)
+    entries.flags.writeable = False
+    return WindowTable(entries, lead, width)
+
+
+@lru_cache(maxsize=8)
+def invariant_tables(rule: RuleTable) -> InvariantTables:
+    """The tables of the invariant sweep, shared and read-only.
+
+    Each is the mask functions above evaluated on every window, taken as
+    a ring of its own width, at positions where no pattern wraps.
+    """
+    windows = np.arange(1 << 16, dtype=_U)
+    switch = _window_table(switch_gaps(windows, 16)[0], 4, 16)
+    windows = np.arange(1 << 17, dtype=_U)
+    doms = domain_masks(windows, 17)
+    # Stepped by the kernel itself, so that batch_step is only called by sweeps.
+    drop = merge_mask(windows, window_gather(lut64(rule), windows, 17, 4, 16), 17)
+    for kind in metrics.REDUCING_KINDS:
+        drop |= doms[kind]
+    return InvariantTables(
+        switch, _window_table(drop, 0, 17), _window_table(doms["D78b"], 0, 17)
+    )
 
 
 def ordered_block_length_masks(

@@ -41,16 +41,8 @@ _CORRECTED_PATTERNS = (
 _MIRRORED_IN_ORIGINAL = frozenset({"T7", "T8"})
 
 
-def neighborhood_cell(code: int, j: int) -> int:
-    """Cell j (0..8, left to right) of the neighbourhood encoded by ``code``.
-
-    Cell 0 is the most significant bit, so codes sort in the same order as
-    the neighbourhood strings.
-    """
-    return (code >> (NEIGHBORHOOD - 1 - j)) & 1
-
-
 def center_bit(code: int) -> int:
+    """The centre cell of a neighbourhood code, whose leftmost cell is its top bit."""
     return (code >> (NEIGHBORHOOD - 1 - CENTER)) & 1
 
 
@@ -72,12 +64,6 @@ class ActiveTransition:
     @property
     def center(self) -> int:
         return int(self.pattern[CENTER])
-
-    def matches(self, code: int) -> bool:
-        for j, ch in enumerate(self.pattern):
-            if ch != "*" and neighborhood_cell(code, j) != int(ch):
-                return False
-        return True
 
     def expand(self) -> frozenset[int]:
         """All neighbourhood codes matching the pattern."""
@@ -148,13 +134,6 @@ def build_rule_table(variant: str) -> RuleTable:
 def table_diff(a: RuleTable, b: RuleTable) -> set[int]:
     """Neighbourhood codes on which two tables disagree."""
     return {code for code in range(TABLE_SIZE) if a.outputs[code] != b.outputs[code]}
-
-
-def active_neighborhoods(rule: RuleTable) -> frozenset[int]:
-    """Codes whose output differs from the centre bit."""
-    return frozenset(
-        code for code in range(TABLE_SIZE) if rule.outputs[code] != center_bit(code)
-    )
 
 
 def wolfram_number(rule: RuleTable) -> str:

@@ -172,6 +172,7 @@ def _sweep_chunk(
     hom = (x == 0) | (x == all_ones)
     s = pend = None
     if invariants:
+        tables = packed.invariant_tables(rule)
         s, _ = packed.switch_counts(x, n)
         record(HOM_ZERO, (s == 0) != hom, 0)
         for length, m in packed.ordered_block_length_masks(x, n, 2 * n - 2).items():
@@ -202,16 +203,13 @@ def _sweep_chunk(
             break
         y = packed.batch_step(lut, x, n)
         if invariants:
-            s_y, _ = packed.switch_counts(y, n)
+            s_y = np.bitwise_count(tables.switch.gather(y, n)).astype(np.int64)
             record(PARITY_CONSERVED, packed.parity_bits(y) != (target & np.uint64(1)), t)
             record(SWITCH_MONOTONE, s_y > s, t)
-            doms = packed.domain_masks(x, n)
-            must_drop = packed.merge_mask(x, y, n) != 0
-            for kind in metrics.REDUCING_KINDS:
-                must_drop |= doms[kind] != 0
+            must_drop = tables.drop.gather(x, n) != 0
             record(SWITCH_STRICT, must_drop & ~(s_y < s), t)
             record(TWO_STEP_DECREASE, (pend >= 0) & ~(s_y < pend), t)
-            pend = np.where((doms["D78b"] != 0) & ~(s_y < s), s_y, -1)
+            pend = np.where((tables.d78b.gather(x, n) != 0) & ~(s_y < s), s_y, -1)
             record(FIXED_POINT, y == x, t)
             s = s_y
         right = y == target

@@ -4,8 +4,13 @@ The two trajectory tables and the switch-count sequence are transcribed
 from the published reference diagrams for this rule family; the
 ordered-block samples come from the published annotated configurations.
 ``necklace_count`` is the closed-form count the necklace sweeps must hit.
+The helpers at the end are plain oracles that only the tests need:
+pattern matching of one neighbourhood code, the active codes of a rule
+table, and concatenation powers of a configuration.
 """
 import math
+
+from parityca import lattice, rule
 
 FAULTY = "0001110101001"
 
@@ -117,3 +122,34 @@ def necklace_count(n):
             phi = sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
             total += phi * (1 << (n // d))
     return total // n
+
+
+def matches(transition, code):
+    """Whether the neighbourhood ``code`` matches an active transition's pattern."""
+    for j, ch in enumerate(transition.pattern):
+        cell = (code >> (rule.NEIGHBORHOOD - 1 - j)) & 1
+        if ch != "*" and cell != int(ch):
+            return False
+    return True
+
+
+def active_neighborhoods(table):
+    """Codes whose output differs from the centre bit."""
+    return frozenset(
+        code for code in range(rule.TABLE_SIZE)
+        if table.outputs[code] != rule.center_bit(code)
+    )
+
+
+class EvenPower(lattice.ConfigurationError):
+    """Concatenation powers must be odd to keep the length odd."""
+
+
+def concat_power(x, k):
+    """k copies of x laid around a ring of length k*n, for odd k >= 1."""
+    if k < 1 or k % 2 == 0:
+        raise EvenPower(f"power must be odd and positive, got {k}")
+    bits = 0
+    for c in range(k):
+        bits |= x.bits << (c * x.n)
+    return lattice.Configuration(n=k * x.n, bits=bits)

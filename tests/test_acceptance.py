@@ -1,8 +1,9 @@
 """Acceptance suite: every criterion at its stated tolerance, one line each.
 
 Criterion 4 runs the full sweep of all odd sizes up to 21; sizes 23 and
-25 are opt-in via PARITYCA_EXTENDED=1, and the necklace-mode sweeps of
-27 and 29 via PARITYCA_EXTENDED=2.
+25, and the invariant sweeps of 19 and 21 (criterion 5), are opt-in via
+PARITYCA_EXTENDED=1, and the necklace-mode sweeps of 27 and 29 via
+PARITYCA_EXTENDED=2.
 """
 import json
 import os
@@ -98,6 +99,16 @@ def test_criterion_5_invariant_suite_to_17():
         rep = V.verify_size(CORR, n, invariants=True)
         ok = ok and rep.passed and not rep.violations and rep.correct == 1 << n
     report(5, ok, f"(exhaustive invariant sweep n<=17, {time.time() - started:.1f}s)")
+
+
+@pytest.mark.skipif(EXTENDED < 1, reason="set PARITYCA_EXTENDED=1 for invariants at 19/21")
+def test_criterion_5_extended_invariant_sizes():
+    started = time.time()
+    ok = True
+    for n in (19, 21):
+        rep = V.verify_size(CORR, n, invariants=True)
+        ok = ok and rep.passed and not rep.violations and rep.correct == 1 << n
+    report("5-extended", ok, f"(invariant sweep n=19, 21, {time.time() - started:.1f}s)")
 
 
 def test_criterion_6_counterexample_rediscovery():

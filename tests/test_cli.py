@@ -130,17 +130,23 @@ def test_verify_necklace_mode(capsys):
     assert doc["checked"] == 60  # binary necklaces of length 9
 
 
-# The sha256 of the whole stdout of two verify runs, one per sweep mode:
-# a change to any report byte fails here.
+# The sha256 of the whole stdout of three verify runs: one per sweep mode,
+# and an invariant sweep whose budget of 3 steps leaves most rings
+# unconverged, so that its reports list thousands of counterexamples next
+# to the violations. A change to any report byte fails here.
 PINNED_REPORTS = [
     (("--sizes", "9..15", "--invariants"),
      "97756420f2f81254b4f9a92ccc19ccdd4f1e46c19d7069720a5dd79c582e92dd"),
     (("--sizes", "1..21", "--mode", "necklace"),
      "1a10dcd80bf3c62122244bf0f695bd0716e37130f8657edcf1e9349f408a423d"),
+    (("--sizes", "9..13", "--invariants", "--budget", "3"),
+     "31ced4729026a34ad9bb38d6cd5ed71d51f2fa7265f3520d0003cc79089853d9"),
 ]
 
 
-@pytest.mark.parametrize("args, digest", PINNED_REPORTS, ids=["invariants", "necklace"])
+@pytest.mark.parametrize(
+    "args, digest", PINNED_REPORTS, ids=["invariants", "necklace", "invariants-budget"]
+)
 def test_verify_reports_are_pinned(capsys, args, digest):
     _, out, _ = run(capsys, "verify", "--rule", "original", *args)
     assert hashlib.sha256(out.encode()).hexdigest() == digest

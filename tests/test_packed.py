@@ -8,7 +8,7 @@ from parityca import lattice as L
 from parityca import metrics as M
 from parityca import packed as P
 from parityca.rule import CORRECTED, ORIGINAL, build_rule_table
-from golden import necklace_count
+from golden import concat_power, necklace_count
 
 CORR = build_rule_table(CORRECTED)
 ORIG = build_rule_table(ORIGINAL)
@@ -65,6 +65,45 @@ def test_lut64_is_built_once_per_rule_and_read_only():
     assert P.lut64(CORR) is P.lut64(CORR)
     assert P.lut64(ORIG) is not P.lut64(CORR)
     assert not P.lut64(CORR).flags.writeable
+
+
+def assert_invariant_tables_match_masks(rule, c, n):
+    """Each table's gather equals the mask functions it was built from."""
+    tables = P.invariant_tables(rule)
+    switch = tables.switch.gather(c, n)
+    assert (switch == P.switch_gaps(c, n)[0]).all()
+    assert (np.bitwise_count(switch) == P.switch_counts(c, n)[0]).all()
+    doms = P.domain_masks(c, n)
+    drop = P.merge_mask(c, P.batch_step(P.lut64(rule), c, n), n)
+    for kind in M.REDUCING_KINDS:
+        drop |= doms[kind]
+    assert (tables.drop.gather(c, n) == drop).all()
+    assert (tables.d78b.gather(c, n) == doms["D78b"]).all()
+
+
+# Below 8 cells one group wraps the ring; below 17 the ring is shorter
+# than the window.
+@pytest.mark.parametrize("n", range(1, 16, 2))
+@pytest.mark.parametrize("rule", [CORR, ORIG], ids=["corrected", "original"])
+def test_invariant_tables_match_the_masks_exhaustively(n, rule):
+    assert_invariant_tables_match_masks(rule, all_configs(n), n)
+
+
+# Odd n from 17 to 63; from n = 49 some windows come from a rotation of the ring.
+@given(st.integers(8, P.MAX_N // 2), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_invariant_tables_match_the_masks_on_wide_rings(half, seed):
+    n = 2 * half + 1
+    c = sample_configs(n, 64, seed)
+    for rule in (CORR, ORIG):
+        assert_invariant_tables_match_masks(rule, c, n)
+
+
+def test_invariant_tables_are_built_once_per_rule_and_read_only():
+    assert P.invariant_tables(CORR) is P.invariant_tables(CORR)
+    assert P.invariant_tables(ORIG) is not P.invariant_tables(CORR)
+    for table in P.invariant_tables(CORR):
+        assert not table.entries.flags.writeable
 
 
 @pytest.mark.parametrize("n", EXHAUSTIVE_SIZES)
@@ -246,7 +285,7 @@ def test_batch_step_handles_lifted_widths(k_half, data):
     n = 2 * k_half + 1
     bits = data.draw(st.integers(0, (1 << n) - 1))
     x = L.Configuration(n, bits)
-    lifted = L.concat_power(x, 3)
+    lifted = concat_power(x, 3)
     lut = P.lut64(CORR)
     out = P.batch_step(lut, np.array([lifted.bits], dtype=np.uint64), lifted.n)
     assert int(out[0]) == E.step(CORR, lifted).bits
