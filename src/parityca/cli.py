@@ -42,19 +42,22 @@ def _max_size(text: str) -> int:
 def _sizes(text: str) -> list[int]:
     """Parse '1..21', '13' or '3,5,13' into a list of odd sizes."""
     too_large = argparse.ArgumentTypeError(f"sizes must be at most {packed.MAX_N}: {text!r}")
+    not_positive = argparse.ArgumentTypeError(f"sizes must be odd and positive: {text!r}")
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
             lo, hi = int(lo_text), int(hi_text)
             if hi > packed.MAX_N:
                 raise too_large
+            if lo < 1:
+                raise not_positive
             sizes = [n for n in range(lo, hi + 1) if n % 2 == 1]
         else:
             sizes = [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad size list {text!r}") from exc
     if not sizes or any(n < 1 or n % 2 == 0 for n in sizes):
-        raise argparse.ArgumentTypeError(f"sizes must be odd and positive: {text!r}")
+        raise not_positive
     if max(sizes) > packed.MAX_N:
         raise too_large
     return sizes

@@ -32,8 +32,6 @@ DOMAINS = (
     ("D912b", "1110110100", ""),
 )
 
-DOMAIN_KINDS = tuple(kind for kind, _, _ in DOMAINS)
-
 # Domains that strictly lower the switch count in one step (plus merges).
 REDUCING_KINDS = frozenset({"D56r", "D78r", "D910r", "D912r"})
 

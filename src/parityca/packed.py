@@ -3,7 +3,7 @@
 Each uint64 element holds one whole configuration, bit i = cell i, which
 lets a single bitwise operation process every cell of every configuration
 in the array at once. Every kernel shifts by less than the width, so
-all of them work up to n = 63, wide enough for concatenation lifts.
+all of them work up to n = 63.
 
 ``batch_step`` updates eight cells per table lookup: ``lut64`` maps each
 16-cell window to the next state of the eight cells at its middle, so a

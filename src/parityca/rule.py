@@ -61,10 +61,6 @@ class ActiveTransition:
         if self.pattern[CENTER] == "*":
             raise ValueError(f"{self.id}: centre symbol must be fixed")
 
-    @property
-    def center(self) -> int:
-        return int(self.pattern[CENTER])
-
     def expand(self) -> frozenset[int]:
         """All neighbourhood codes matching the pattern."""
         free = [j for j, ch in enumerate(self.pattern) if ch == "*"]

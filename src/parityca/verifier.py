@@ -2,10 +2,11 @@
 
 ``verify_size`` evolves every configuration of one odd size (or one
 representative per rotation class) and classifies the outcomes; with
-``invariants=True`` it additionally checks the structural laws along
-every trajectory. Work is partitioned into packed-integer chunks that
-workers process independently; their tallies fold, in chunk order, into
-a report that is identical for any worker count and chunk size.
+``invariants=True`` it additionally checks, along every trajectory, the
+five step laws that ``check_trajectory_invariants`` checks one ring at a
+time. Work is partitioned into packed-integer chunks that workers
+process independently; their tallies fold, in chunk order, into a report
+that is identical for any worker count and chunk size.
 """
 from __future__ import annotations
 
@@ -32,10 +33,6 @@ SWITCH_MONOTONE = "switch-monotone"
 SWITCH_STRICT = "switch-strict-decrease"
 TWO_STEP_DECREASE = "two-step-decrease"
 FIXED_POINT = "fixed-point-homogeneous"
-HOM_ZERO = "zero-switches-homogeneous"
-OB_BOUND = "ordered-block-bound"
-EQUIVARIANCE = "shift-equivariance"
-CONCAT_LIFT = "concat-lift"
 
 
 def plan_sweep(n: int, chunk_size: int = DEFAULT_CHUNK, mode: str = FULL) -> range:
@@ -126,7 +123,7 @@ class _Tally:
     nonconv: list[int] = field(default_factory=list)
     max_t0: int = -1
     max_t0_arg: int = 0
-    violations: list[tuple[str, int, int, str]] = field(default_factory=list)
+    violations: list[tuple[str, int, int]] = field(default_factory=list)
 
     def add(self, later: _Tally) -> _Tally:
         """Fold in the tally of the next chunk.
@@ -164,8 +161,8 @@ def _sweep_chunk(
         start = np.arange(lo, hi, dtype=np.uint64)
     tally = _Tally(checked=int(start.size))
 
-    def record(invariant: str, rows: np.ndarray, step: int, detail: str = "") -> None:
-        tally.violations.extend((invariant, int(w), step, detail) for w in start[rows])
+    def record(invariant: str, rows: np.ndarray, step: int) -> None:
+        tally.violations.extend((invariant, int(w), step) for w in start[rows])
 
     target = np.where(packed.parity_bits(start) == 1, all_ones, np.uint64(0))
     x = start
@@ -173,18 +170,7 @@ def _sweep_chunk(
     s = pend = None
     if invariants:
         tables = packed.invariant_tables(rule)
-        s, _ = packed.switch_counts(x, n)
-        record(HOM_ZERO, (s == 0) != hom, 0)
-        for length, m in packed.ordered_block_length_masks(x, n, 2 * n - 2).items():
-            if length > n + 1:
-                record(OB_BOUND, m != 0, 0, f"length {length}")
-        y0 = packed.batch_step(lut, x, n)
-        rot_then_step = packed.batch_step(lut, packed.rotl(x, 1, n), n)
-        record(EQUIVARIANCE, rot_then_step != packed.rotl(y0, 1, n), 0)
-        if 3 * n <= 63:
-            lifted = x | (x << np.uint64(n)) | (x << np.uint64(2 * n))
-            expect = y0 | (y0 << np.uint64(n)) | (y0 << np.uint64(2 * n))
-            record(CONCAT_LIFT, packed.batch_step(lut, lifted, 3 * n) != expect, 0)
+        s = np.bitwise_count(tables.switch.gather(x, n)).astype(np.int64)
         pend = np.full(x.size, -1, dtype=np.int64)
 
     # A homogeneous state is its own target, so hom rows finish correct at t0 = 0.
@@ -251,7 +237,7 @@ def verify_size(
         config = Configuration(n, value)
         return Counterexample(config=config, outcome=engine.evolve(rule, config, budget))
 
-    tally.violations.sort(key=lambda v: (v[1], v[2], v[0], v[3]))
+    tally.violations.sort(key=lambda v: (v[1], v[2], v[0]))
     return VerificationReport(
         rule=rule.variant,
         n=n,
@@ -263,8 +249,8 @@ def verify_size(
         max_t0=None if tally.max_t0 < 0
         else MaxT0(steps=tally.max_t0, witness=Configuration(n, tally.max_t0_arg)),
         violations=tuple(
-            Violation(invariant=iv, witness=str(Configuration(n, w)), step=st, detail=dt)
-            for iv, w, st, dt in tally.violations
+            Violation(invariant=iv, witness=str(Configuration(n, w)), step=st)
+            for iv, w, st in tally.violations
         ),
     )
 

@@ -6,11 +6,16 @@ ordered-block samples come from the published annotated configurations.
 ``necklace_count`` is the closed-form count the necklace sweeps must hit.
 The helpers at the end are plain oracles that only the tests need:
 pattern matching of one neighbourhood code, the active codes of a rule
-table, and concatenation powers of a configuration.
+table, and concatenation powers of a configuration. The two checks after
+them sweep every ring of one size: the rule-independent properties of
+rings and of the step kernel, and the agreement of the invariant sweep
+with the per-trajectory reference checker.
 """
 import math
 
-from parityca import lattice, rule
+import numpy as np
+
+from parityca import lattice, packed, rule, verifier
 
 FAULTY = "0001110101001"
 
@@ -153,3 +158,48 @@ def concat_power(x, k):
     for c in range(k):
         bits |= x.bits << (c * x.n)
     return lattice.Configuration(n=k * x.n, bits=bits)
+
+
+def check_ring_and_kernel_properties(table, n):
+    """Assert four properties on every ring of n <= 21 cells, 2^16 at a time.
+
+    ``batch_step`` commutes with rotation by one cell and steps the triple
+    lift of a ring (three copies around 3n cells, one word wide) to the
+    triple lift of its step; the switch table counts no switch exactly
+    on the homogeneous rings; and no ordered block is longer than n + 1.
+    """
+    lut = packed.lut64(table)
+    switch = packed.invariant_tables(table).switch
+
+    def lift(v):
+        return v | (v << np.uint64(n)) | (v << np.uint64(2 * n))
+
+    for lo in range(0, 1 << n, 1 << 16):
+        c = np.arange(lo, min(lo + (1 << 16), 1 << n), dtype=np.uint64)
+        y = packed.batch_step(lut, c, n)
+        rotated = packed.batch_step(lut, packed.rotl(c, 1, n), n)
+        assert (rotated == packed.rotl(y, 1, n)).all(), f"n={n}: rotation"
+        assert (packed.batch_step(lut, lift(c), 3 * n) == lift(y)).all(), f"n={n}: lift"
+        homogeneous = (c == 0) | (c == packed.mask_of(n))
+        no_switch = np.bitwise_count(switch.gather(c, n)) == 0
+        assert (no_switch == homogeneous).all(), f"n={n}: switches"
+        for length, m in packed.ordered_block_length_masks(c, n, 2 * n - 2).items():
+            assert length <= n + 1 or not m.any(), f"n={n}: ordered block of {length}"
+
+
+def violation_triples(table, n, budget=None):
+    """The sorted (invariant, witness, step) of the sweep and of the reference.
+
+    The first list comes from ``verify_size(..., invariants=True)``, the
+    second from ``check_trajectory_invariants`` on every ring of n cells.
+    """
+    report = verifier.verify_size(table, n, budget=budget, invariants=True)
+    swept = sorted((v.invariant, v.witness, v.step) for v in report.violations)
+    reference = sorted(
+        (v.invariant, v.witness, v.step)
+        for bits in range(1 << n)
+        for v in verifier.check_trajectory_invariants(
+            table, lattice.Configuration(n, bits), budget
+        )
+    )
+    return swept, reference

@@ -1,9 +1,10 @@
 """Acceptance suite: every criterion at its stated tolerance, one line each.
 
 Criterion 4 runs the full sweep of all odd sizes up to 21; sizes 23 and
-25, and the invariant sweeps of 19 and 21 (criterion 5), are opt-in via
-PARITYCA_EXTENDED=1, and the necklace-mode sweeps of 27 and 29 via
-PARITYCA_EXTENDED=2.
+25, and the extended checks of criterion 5 (invariant sweeps at 19 and
+21, ring and kernel properties at 21, the sweep against the reference
+checker at 11 and 13), are opt-in via PARITYCA_EXTENDED=1, and the
+necklace-mode sweeps of 27 and 29 via PARITYCA_EXTENDED=2.
 """
 import json
 import os
@@ -108,7 +109,21 @@ def test_criterion_5_extended_invariant_sizes():
     for n in (19, 21):
         rep = V.verify_size(CORR, n, invariants=True)
         ok = ok and rep.passed and not rep.violations and rep.correct == 1 << n
-    report("5-extended", ok, f"(invariant sweep n=19, 21, {time.time() - started:.1f}s)")
+    for rule in (CORR, ORIG):
+        golden.check_ring_and_kernel_properties(rule, 21)
+    report("5-extended", ok,
+           f"(invariant sweep n=19, 21, ring properties n=21, {time.time() - started:.1f}s)")
+
+
+@pytest.mark.skipif(EXTENDED < 1, reason="set PARITYCA_EXTENDED=1 for the invariant differential")
+def test_criterion_5_extended_invariant_differential():
+    started = time.time()
+    ok = True
+    for rule, n in ((CORR, 11), (ORIG, 11), (ORIG, 13)):
+        swept, reference = golden.violation_triples(rule, n)
+        ok = ok and swept == reference
+    report("5-differential", ok,
+           f"(sweep equals reference checker at n=11, 13, {time.time() - started:.1f}s)")
 
 
 def test_criterion_6_counterexample_rediscovery():

@@ -182,11 +182,23 @@ def test_range_sizes_keep_only_odd_values(capsys):
 
 
 def test_bad_sizes_exit_two(capsys):
-    for bad in ("4", "0", "3,6", "x"):
+    for bad in ("4", "0", "3,6", "x", "-3..5", "0..5"):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--sizes", bad])
+            cli.main(["verify", f"--sizes={bad}"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def test_sizes_below_one_exit_two_before_the_range_is_listed(capsys, monkeypatch):
+    # Listed first, -10000000000..5 would take about 180 GB.
+    def no_range(*args):
+        raise AssertionError("listed the sizes before checking the lower end")
+
+    monkeypatch.setattr(cli, "range", no_range, raising=False)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--sizes=-10000000000..5"])
+    assert exc.value.code == 2
+    assert "odd and positive" in capsys.readouterr().err
 
 
 def test_sizes_past_the_kernel_width_exit_two_at_once(capsys):

@@ -36,7 +36,7 @@ def test_transition_patterns_have_fixed_centers():
 
 def test_center_is_preserved_by_mirroring():
     for at in R.transitions(R.CORRECTED):
-        assert at.mirrored().center == at.center
+        assert at.mirrored().pattern[R.CENTER] == at.pattern[R.CENTER]
 
 
 def test_original_variant_swaps_only_the_two_shift_transitions():
