@@ -6,7 +6,9 @@ from parityca import engine as E
 from parityca import lattice as L
 from parityca import metrics as M
 from parityca import verifier as V
-from parityca.rule import CORRECTED, ORIGINAL, build_rule_table
+from parityca.rule import (
+    CORRECTED, ORIGINAL, TABLE_SIZE, RuleTable, build_rule_table, center_bit
+)
 import golden
 
 CORR = build_rule_table(CORRECTED)
@@ -213,6 +215,36 @@ def test_sweep_and_reference_checker_report_the_same_violations():
                 flagged += len(swept)
     # The original rule breaks the strict-decrease law from n = 7.
     assert flagged
+
+
+def broken_table(name, output):
+    return RuleTable(name, bytes(output(code) for code in range(TABLE_SIZE)))
+
+
+# The identity fixes every ring; the complement breaks parity and raises
+# s; the corrected table with code 193 flipped breaks the two-step law at
+# n = 7. The complement's default budget is left out: it takes 25 s at n = 9.
+IDENTITY = broken_table("identity", center_bit)
+COMPLEMENT = broken_table("complement", lambda code: 1 - center_bit(code))
+FLIP_193 = broken_table(
+    "flip-193", lambda code: CORR.outputs[code] ^ (code == 193)
+)
+
+
+def test_sweep_and_reference_checker_agree_on_broken_tables():
+    seen = set()
+    for table, budgets in (
+        (IDENTITY, (None, 3)), (COMPLEMENT, (3,)), (FLIP_193, (None, 3))
+    ):
+        for n in range(1, 10, 2):
+            for budget in budgets:
+                swept, reference = golden.violation_triples(table, n, budget)
+                assert swept == reference, f"{table.variant} n={n} budget={budget}"
+                seen |= {invariant for invariant, _, _ in swept}
+    assert seen == {
+        V.PARITY_CONSERVED, V.SWITCH_MONOTONE, V.SWITCH_STRICT,
+        V.TWO_STEP_DECREASE, V.FIXED_POINT,
+    }
 
 
 def test_report_json_shape():
