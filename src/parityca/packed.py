@@ -5,12 +5,15 @@ lets a single bitwise operation process every cell of every configuration
 in the array at once. Every kernel shifts by less than the width, so
 all of them work up to n = 63.
 
-``batch_step`` updates eight cells per table lookup: ``lut64`` maps each
-16-cell window to the next state of the eight cells at its middle, so a
-ring of n cells costs ceil(n / 8) gathers per step. The invariant sweep
-reads its per-step switch counts and domain flags the same way, through
-``window_gather``, from the ``invariant_tables`` that the mask functions
-(``switch_gaps``, ``domain_masks``, ``merge_mask``) fill once per rule.
+``window_gather`` reads eight cells per table lookup, and every table it
+reads shares one window: for cells k .. k+7 it starts at cell k - 4, and
+the table's size sets its width. ``batch_step`` reads ``lut64``, which
+maps each 16-cell window to the next state of the eight cells at its
+middle, so a ring of n cells costs ceil(n / 8) gathers per step. The
+invariant sweep reads a state's switch gaps and domain flags the same
+way, all three in one gather of ``invariant_tables``, a table of three
+planes over 17-cell windows that the mask functions (``switch_gaps``,
+``domain_masks``, ``merge_mask``) fill once per rule.
 
 ``necklaces`` lists the least rotation of every class in a range of
 encodings without building the range. It walks the prenecklace tree,
@@ -22,7 +25,6 @@ plain reference oracle for it.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -76,17 +78,18 @@ def parity_bits(v: np.ndarray) -> np.ndarray:
     return np.bitwise_count(v) & np.uint8(1)
 
 
-def window_gather(
-    table: np.ndarray, c: np.ndarray, n: int, lead: int, width: int
-) -> np.ndarray:
+def window_gather(table: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     """Look up eight cells of every packed configuration in c per gather.
 
-    Byte k / 8 of the little-endian n-bit result is ``table`` at the
-    ``width``-cell window that starts at cell k - lead. The window is read
-    from the ring repeated up to bit 63, which also covers rings narrower
-    than the window; where it would run past bit 63, which only happens
-    for rings wider than 65 - width cells, from a rotation of c.
+    Every table shares one window: byte k / 8 of the little-endian n-bit
+    result is ``table`` at the window of log2(``table.shape[-1]``) cells
+    that starts at cell k - 4. The leading axes of ``table`` are the
+    leading axes of the result. The window is read from the ring repeated
+    up to bit 63, which also covers rings narrower than the window; where
+    it would run past bit 63, which only happens for rings wider than
+    68 - width cells, from a rotation of c.
     """
+    width = table.shape[-1].bit_length() - 1
     # The uint64 passes write into ext, buf or out: where malloc maps each
     # fresh temporary, its page faults cost more than the gathers.
     ext = np.array(c, dtype=_U)
@@ -95,16 +98,17 @@ def window_gather(
     while span < 64:
         ext |= np.left_shift(ext, _U(span), out=buf)
         span *= 2
-    out = np.zeros(c.shape, dtype="<u8")  # little-endian: byte g is cells 8g .. 8g+7
-    out_bytes = out.view(np.uint8).reshape(-1, 8)
+    # little-endian: byte g is cells 8g .. 8g+7
+    out = np.zeros(table.shape[:-1] + ext.shape, dtype="<u8")
+    out_bytes = out.view(np.uint8).reshape(out.shape + (8,))
     for group, k in enumerate(range(0, n, 8)):
-        start = (k - lead) % n
+        start = (k - 4) % n
         if start + width <= 64:
             np.right_shift(ext, _U(start), out=buf)
         else:
             buf[...] = rotl(c, start, n)
         buf &= _U((1 << width) - 1)
-        out_bytes[:, group] = table.take(buf.view(np.int64))
+        out_bytes[..., group] = table.take(buf.view(np.int64), axis=-1)
     out &= mask_of(n)
     return out
 
@@ -115,7 +119,7 @@ def batch_step(lut: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     ``lut`` is ``lut64(rule)``: cells k .. k+7 come from the 16-cell
     window that starts at cell k - 4.
     """
-    return window_gather(lut, c, n, 4, 16)
+    return window_gather(lut, c, n)
 
 
 def _match(cells: list[np.ndarray], pattern: str) -> np.ndarray:
@@ -178,61 +182,31 @@ def merge_mask(c: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     return sites & rotl(y, 5, n)
 
 
-class WindowTable(NamedTuple):
-    """A lookup table for ``window_gather``, with the window it reads.
-
-    Entry w holds the flags of cells (or gaps) k .. k+7 for the
-    ``width``-cell window w that starts at cell k - ``lead``.
-    """
-
-    entries: np.ndarray
-    lead: int
-    width: int
-
-    def gather(self, c: np.ndarray, n: int) -> np.ndarray:
-        return window_gather(self.entries, c, n, self.lead, self.width)
-
-
-class InvariantTables(NamedTuple):
-    """The per-step quantities of the invariant sweep, by window lookup.
-
-    ``switch`` flags the gaps that are switches (gap i needs cells
-    i-2 .. i+4). ``drop`` flags the cells where a reducing domain or a
-    merge starts, and ``d78b`` where a D78b domain starts; both read the
-    unstepped configuration, and a merge at p needs cells p .. p+9,
-    because it reads the stepped cell p + 5.
-    """
-
-    switch: WindowTable
-    drop: WindowTable
-    d78b: WindowTable
-
-
-def _window_table(mask: np.ndarray, lead: int, width: int) -> WindowTable:
-    """Flags of positions lead .. lead+7 of every width-cell ring."""
-    entries = ((mask >> _U(lead)) & _U(0xFF)).astype(np.uint8)
-    entries.flags.writeable = False
-    return WindowTable(entries, lead, width)
-
-
 @lru_cache(maxsize=8)
-def invariant_tables(rule: RuleTable) -> InvariantTables:
-    """The tables of the invariant sweep, shared and read-only.
+def invariant_tables(rule: RuleTable) -> np.ndarray:
+    """The (3, 2^17) table of the invariant sweep, shared and read-only.
 
-    Each is the mask functions above evaluated on every window, taken as
-    a ring of its own width, at positions where no pattern wraps.
+    Its planes are the mask functions above evaluated on every 17-cell
+    window, taken as a ring of its own, at positions where no pattern
+    wraps. For the window that starts at cell k - 4, plane 0 flags the
+    gaps k .. k+7 that are switches (gap i needs cells i-2 .. i+4).
+    Plane 1 flags where a reducing domain or a merge starts, and plane 2
+    where a D78b domain starts; both read the unstepped configuration,
+    and a flag at p needs cells p .. p+9, because a merge reads the
+    stepped cell p + 5. So these two planes can only flag cells
+    k-4 .. k+3, and their ``window_gather`` is the mask rotated by four
+    cells, ``rotl(mask, -4, n)``; the sweep only tests it for zero.
     """
-    windows = np.arange(1 << 16, dtype=_U)
-    switch = _window_table(switch_gaps(windows, 16)[0], 4, 16)
     windows = np.arange(1 << 17, dtype=_U)
     doms = domain_masks(windows, 17)
     # Stepped by the kernel itself, so that batch_step is only called by sweeps.
-    drop = merge_mask(windows, window_gather(lut64(rule), windows, 17, 4, 16), 17)
+    drop = merge_mask(windows, window_gather(lut64(rule), windows, 17), 17)
     for kind in metrics.REDUCING_KINDS:
         drop |= doms[kind]
-    return InvariantTables(
-        switch, _window_table(drop, 0, 17), _window_table(doms["D78b"], 0, 17)
-    )
+    switch = switch_gaps(windows, 17)[0] >> _U(4)
+    table = (np.stack((switch, drop, doms["D78b"])) & _U(0xFF)).astype(np.uint8)
+    table.flags.writeable = False
+    return table
 
 
 def ordered_block_length_masks(

@@ -167,10 +167,16 @@ def _sweep_chunk(
     target = np.where(packed.parity_bits(start) == 1, all_ones, np.uint64(0))
     x = start
     hom = (x == 0) | (x == all_ones)
-    s = pend = None
+    s = drop = d78b = pend = None
     if invariants:
         tables = packed.invariant_tables(rule)
-        s = np.bitwise_count(tables.switch.gather(x, n)).astype(np.int64)
+
+        def laws(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            """s, and whether s must drop or D78b is present, in one gather."""
+            switch, drop, d78b = packed.window_gather(tables, v, n)
+            return np.bitwise_count(switch).astype(np.int64), drop != 0, d78b != 0
+
+        s, drop, d78b = laws(x)
         pend = np.full(x.size, -1, dtype=np.int64)
 
     # A homogeneous state is its own target, so hom rows finish correct at t0 = 0.
@@ -184,20 +190,19 @@ def _sweep_chunk(
             live = ~done
             x, start, target = x[live], start[live], target[live]
             if invariants:
-                s, pend = s[live], pend[live]
+                s, drop, d78b, pend = s[live], drop[live], d78b[live], pend[live]
         if x.size == 0 or t >= budget:
             break
         y = packed.batch_step(lut, x, n)
         if invariants:
-            s_y = np.bitwise_count(tables.switch.gather(y, n)).astype(np.int64)
+            s_y, drop_y, d78b_y = laws(y)
             record(PARITY_CONSERVED, packed.parity_bits(y) != (target & np.uint64(1)), t)
             record(SWITCH_MONOTONE, s_y > s, t)
-            must_drop = tables.drop.gather(x, n) != 0
-            record(SWITCH_STRICT, must_drop & ~(s_y < s), t)
+            record(SWITCH_STRICT, drop & ~(s_y < s), t)
             record(TWO_STEP_DECREASE, (pend >= 0) & ~(s_y < pend), t)
-            pend = np.where((tables.d78b.gather(x, n) != 0) & ~(s_y < s), s_y, -1)
+            pend = np.where(d78b & ~(s_y < s), s_y, -1)
             record(FIXED_POINT, y == x, t)
-            s = s_y
+            s, drop, d78b = s_y, drop_y, d78b_y
         right = y == target
         done = right | (y == 0) | (y == all_ones) | (y == x)
         x = y
@@ -223,6 +228,8 @@ def verify_size(
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be at least 1")
     if budget is None:
         budget = engine.default_budget(n)
     chunks = plan_sweep(n, chunk_size, mode)

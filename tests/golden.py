@@ -169,7 +169,7 @@ def check_ring_and_kernel_properties(table, n):
     on the homogeneous rings; and no ordered block is longer than n + 1.
     """
     lut = packed.lut64(table)
-    switch = packed.invariant_tables(table).switch
+    switch = packed.invariant_tables(table)[0]
 
     def lift(v):
         return v | (v << np.uint64(n)) | (v << np.uint64(2 * n))
@@ -181,7 +181,7 @@ def check_ring_and_kernel_properties(table, n):
         assert (rotated == packed.rotl(y, 1, n)).all(), f"n={n}: rotation"
         assert (packed.batch_step(lut, lift(c), 3 * n) == lift(y)).all(), f"n={n}: lift"
         homogeneous = (c == 0) | (c == packed.mask_of(n))
-        no_switch = np.bitwise_count(switch.gather(c, n)) == 0
+        no_switch = np.bitwise_count(packed.window_gather(switch, c, n)) == 0
         assert (no_switch == homogeneous).all(), f"n={n}: switches"
         for length, m in packed.ordered_block_length_masks(c, n, 2 * n - 2).items():
             assert length <= n + 1 or not m.any(), f"n={n}: ordered block of {length}"

@@ -68,17 +68,17 @@ def test_lut64_is_built_once_per_rule_and_read_only():
 
 
 def assert_invariant_tables_match_masks(rule, c, n):
-    """Each table's gather equals the mask functions it was built from."""
-    tables = P.invariant_tables(rule)
-    switch = tables.switch.gather(c, n)
+    """Each plane's gather equals the mask functions it was built from."""
+    switch, drop, d78b = P.window_gather(P.invariant_tables(rule), c, n)
     assert (switch == P.switch_gaps(c, n)[0]).all()
     assert (np.bitwise_count(switch) == P.switch_counts(c, n)[0]).all()
     doms = P.domain_masks(c, n)
-    drop = P.merge_mask(c, P.batch_step(P.lut64(rule), c, n), n)
+    expected = P.merge_mask(c, P.batch_step(P.lut64(rule), c, n), n)
     for kind in M.REDUCING_KINDS:
-        drop |= doms[kind]
-    assert (tables.drop.gather(c, n) == drop).all()
-    assert (tables.d78b.gather(c, n) == doms["D78b"]).all()
+        expected |= doms[kind]
+    # The window of cells k .. k+7 flags the domains that start at k-4 .. k+3.
+    assert (drop == P.rotl(expected, -4, n)).all()
+    assert (d78b == P.rotl(doms["D78b"], -4, n)).all()
 
 
 # Below 8 cells one group wraps the ring; below 17 the ring is shorter
@@ -89,7 +89,15 @@ def test_invariant_tables_match_the_masks_exhaustively(n, rule):
     assert_invariant_tables_match_masks(rule, all_configs(n), n)
 
 
-# Odd n from 17 to 63; from n = 49 some windows come from a rotation of the ring.
+# Up to n = 51 every window comes from the repeated ring; from n = 53 the
+# window of the first group comes from a rotation of the ring.
+@pytest.mark.parametrize("n", (51, 53, 63))
+@pytest.mark.parametrize("rule", [CORR, ORIG], ids=["corrected", "original"])
+def test_invariant_tables_match_the_masks_around_the_rotation(n, rule):
+    assert_invariant_tables_match_masks(rule, sample_configs(n, 512, seed=n), n)
+
+
+# Odd n from 17 to 63, on both sides of the rotation from n = 53.
 @given(st.integers(8, P.MAX_N // 2), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_invariant_tables_match_the_masks_on_wide_rings(half, seed):
@@ -102,8 +110,9 @@ def test_invariant_tables_match_the_masks_on_wide_rings(half, seed):
 def test_invariant_tables_are_built_once_per_rule_and_read_only():
     assert P.invariant_tables(CORR) is P.invariant_tables(CORR)
     assert P.invariant_tables(ORIG) is not P.invariant_tables(CORR)
-    for table in P.invariant_tables(CORR):
-        assert not table.entries.flags.writeable
+    table = P.invariant_tables(CORR)
+    assert table.shape == (3, 1 << 17) and table.dtype == np.uint8
+    assert not table.flags.writeable
 
 
 @pytest.mark.parametrize("n", EXHAUSTIVE_SIZES)

@@ -42,6 +42,17 @@ def test_search_past_the_kernel_width_is_rejected_before_sweeping(monkeypatch):
         V.search_counterexamples(CORR, 65)
 
 
+def test_budget_below_one_is_rejected_before_sweeping(monkeypatch):
+    # Swept first, n = 31 would list 2^31 rings before the first replay failed.
+    def no_sweep(*args):
+        raise AssertionError("swept before checking the budget")
+
+    monkeypatch.setattr(V, "_sweep_chunk", no_sweep)
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            V.verify_size(CORR, 31, budget=budget)
+
+
 def test_verify_size_n1_both_fixed_points():
     report = V.verify_size(CORR, 1)
     assert report.checked == 2
