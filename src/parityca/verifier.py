@@ -187,7 +187,7 @@ def _sweep_chunk(
             tally.max_t0, tally.max_t0_arg = t, int(start[right][0])
         if done.any():
             tally.wrong += [int(w) for w in start[done & ~right]]
-            live = ~done
+            live = np.flatnonzero(~done)
             x, start, target = x[live], start[live], target[live]
             if invariants:
                 s, drop, d78b, pend = s[live], drop[live], d78b[live], pend[live]
