@@ -89,8 +89,8 @@ def test_invariant_tables_match_the_masks_exhaustively(n, rule):
     assert_invariant_tables_match_masks(rule, all_configs(n), n)
 
 
-# Up to n = 51 every window comes from the repeated ring; from n = 53 the
-# window of the first group comes from a rotation of the ring.
+# Up to n = 51 every window comes from the repeated ring; from n = 53 some
+# come from a rotation of the ring.
 @pytest.mark.parametrize("n", (51, 53, 63))
 @pytest.mark.parametrize("rule", [CORR, ORIG], ids=["corrected", "original"])
 def test_invariant_tables_match_the_masks_around_the_rotation(n, rule):
