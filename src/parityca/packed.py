@@ -90,14 +90,13 @@ def window_gather(table: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     68 - width cells, from a rotation of c.
     """
     width = table.shape[-1].bit_length() - 1
-    # The uint64 passes write into ext, buf or out: where malloc maps each
-    # fresh temporary, its page faults cost more than the gathers.
-    ext = np.array(c, dtype=_U)
+    # One product lays the copies of the ring at bits 0, n, 2n, ...: c is
+    # below 2^n, so the copies never overlap, no partial product carries,
+    # and the sum equals the OR of the shifts modulo 2^64.
+    ext = np.asarray(c, dtype=_U) * _U(sum(1 << k for k in range(0, 64, n)))
+    # The uint64 passes write into buf or out: where malloc maps each fresh
+    # temporary, its page faults cost more than the gathers.
     buf = np.empty_like(ext)
-    span = n
-    while span < 64:
-        ext |= np.left_shift(ext, _U(span), out=buf)
-        span *= 2
     # little-endian: byte g is cells 8g .. 8g+7
     out = np.zeros(table.shape[:-1] + ext.shape, dtype="<u8")
     out_bytes = out.view(np.uint8).reshape(out.shape + (8,))

@@ -9,13 +9,14 @@ pattern matching of one neighbourhood code, the active codes of a rule
 table, and concatenation powers of a configuration. The two checks after
 them sweep every ring of one size: the rule-independent properties of
 rings and of the step kernel, and the agreement of the invariant sweep
-with the per-trajectory reference checker.
+with the per-trajectory reference checker. ``classification`` is the
+sweep's classification recomputed one ring at a time with ``engine.step``.
 """
 import math
 
 import numpy as np
 
-from parityca import lattice, packed, rule, verifier
+from parityca import engine, lattice, packed, rule, verifier
 
 FAULTY = "0001110101001"
 
@@ -203,3 +204,40 @@ def violation_triples(table, n, budget=None):
         )
     )
     return swept, reference
+
+
+def classification(table, n, budget=None):
+    """The classification of every ring of n cells, one ``engine.step`` at a time.
+
+    A ring finishes at the first t <= budget at which its state is
+    homogeneous, or at the first t < budget at which the state equals its
+    image; it is correct iff that state is the homogeneous state of its
+    parity, and non-converged if it never finishes. Returns checked,
+    correct, max_t0 as (steps, witness) over the correct rings, smallest
+    witness first, or None, and the wrong and non-converged rings.
+    """
+    if budget is None:
+        budget = engine.default_budget(n)
+    correct, wrong, nonconv = 0, [], []
+    max_t0 = None
+    for bits in range(1 << n):
+        x = cur = lattice.Configuration(n, bits)
+        target = lattice.Configuration(n, (1 << n) - 1 if lattice.parity(x) else 0)
+        for t in range(budget + 1):
+            if lattice.is_homogeneous(cur):
+                break
+            if t < budget:
+                nxt = engine.step(table, cur)
+                if nxt == cur:
+                    break
+                cur = nxt
+        else:
+            nonconv.append(str(x))
+            continue
+        if cur != target:
+            wrong.append(str(x))
+            continue
+        correct += 1
+        if max_t0 is None or t > max_t0[0]:
+            max_t0 = (t, str(x))
+    return 1 << n, correct, max_t0, wrong, nonconv

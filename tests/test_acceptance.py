@@ -4,7 +4,7 @@ Criterion 4 runs the full sweep of all odd sizes up to 21; sizes 23 and
 25, and the extended checks of criterion 5 (invariant sweeps at 19 and
 21, ring and kernel properties at 21, the sweep against the reference
 checker at 11 and 13), are opt-in via PARITYCA_EXTENDED=1, and the
-necklace-mode sweeps of 27 and 29 via PARITYCA_EXTENDED=2.
+necklace-mode sweeps of 27, 29 and 31 via PARITYCA_EXTENDED=2.
 """
 import json
 import os
@@ -84,10 +84,10 @@ def test_criterion_4_extended_sizes():
     report("4-extended", ok)
 
 
-@pytest.mark.skipif(EXTENDED < 2, reason="set PARITYCA_EXTENDED=2 for necklace 27/29")
+@pytest.mark.skipif(EXTENDED < 2, reason="set PARITYCA_EXTENDED=2 for necklace 27/29/31")
 def test_criterion_4_necklace_sizes():
     ok = True
-    for n, classes in ((27, 4_971_068), (29, 18_512_792)):
+    for n, classes in ((27, 4_971_068), (29, 18_512_792), (31, 69_273_668)):
         rep = V.verify_size(CORR, n, mode="necklace", workers=8)
         ok = ok and rep.passed and rep.correct == rep.checked == classes
     report("4-necklace", ok)

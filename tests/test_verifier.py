@@ -5,6 +5,7 @@ import pytest
 from parityca import engine as E
 from parityca import lattice as L
 from parityca import metrics as M
+from parityca import packed as P
 from parityca import verifier as V
 from parityca.rule import (
     CORRECTED, ORIGINAL, TABLE_SIZE, RuleTable, build_rule_table, center_bit
@@ -135,6 +136,33 @@ def test_reports_are_deterministic_across_workers_and_chunking():
     with_laws = V.verify_size(ORIG, 11, chunk_size=256, invariants=True).to_json()
     assert V.verify_size(ORIG, 11, chunk_size=64, workers=2, invariants=True).to_json() \
         == with_laws
+    # Necklace chunks that hold no representative fold in as empty tallies.
+    neck = V.verify_size(ORIG, 11, mode="necklace").to_json()
+    for chunk_size in (64, 256, 777, 1 << 11):
+        assert V.verify_size(ORIG, 11, mode="necklace", chunk_size=chunk_size).to_json() \
+            == neck, f"chunk_size={chunk_size}"
+    assert V.verify_size(ORIG, 11, mode="necklace", chunk_size=64, workers=2).to_json() \
+        == neck
+
+
+def test_wide_necklace_chunks_step_at_most_a_default_chunk_of_rows(monkeypatch):
+    # The first necklace chunk of n = 21 holds 98,710 representatives.
+    assert V.NECKLACE_CHUNK > V.DEFAULT_CHUNK
+    assert P.necklaces(21, 0, V.NECKLACE_CHUNK).size == 98_710
+    inner = P.batch_step
+    widths = []
+
+    def counting(lut, c, n):
+        widths.append(c.size)
+        return inner(lut, c, n)
+
+    monkeypatch.setattr(P, "batch_step", counting)
+    wide = V.verify_size(ORIG, 21, mode="necklace")
+    # The first slice is full; only 0...0 leaves it before the first step.
+    assert max(widths) == V.DEFAULT_CHUNK - 1
+    monkeypatch.setattr(P, "batch_step", inner)
+    narrow = V.verify_size(ORIG, 21, mode="necklace", chunk_size=V.DEFAULT_CHUNK)
+    assert wide == narrow
 
 
 def test_search_counterexamples_original():
@@ -172,6 +200,15 @@ def test_sweep_classification_agrees_with_evolve_sampled():
 def test_trajectory_invariants_clean_on_published_rows():
     assert V.check_trajectory_invariants(CORR, L.parse(golden.SAMPLE19_ROWS[0])) == []
     assert V.check_trajectory_invariants(CORR, L.parse(golden.FAULTY)) == []
+
+
+def test_trajectory_invariants_reject_a_budget_below_one():
+    # A budget of 0 would check no step and report the ring clean.
+    ring = L.parse("0000000010101")
+    assert V.check_trajectory_invariants(ORIG, ring)
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            V.check_trajectory_invariants(ORIG, ring, budget)
 
 
 def test_trajectory_invariants_homogeneous_is_trivially_clean():
@@ -256,6 +293,23 @@ def test_sweep_and_reference_checker_agree_on_broken_tables():
         V.PARITY_CONSERVED, V.SWITCH_MONOTONE, V.SWITCH_STRICT,
         V.TWO_STEP_DECREASE, V.FIXED_POINT,
     }
+
+
+def test_sweep_classification_agrees_with_the_reference_classifier():
+    for table in (CORR, ORIG, IDENTITY, COMPLEMENT, FLIP_193):
+        for n in range(1, 10, 2):
+            for budget in (None, 3):
+                report = V.verify_size(table, n, budget=budget)
+                swept = (
+                    report.checked,
+                    report.correct,
+                    None if report.max_t0 is None
+                    else (report.max_t0.steps, str(report.max_t0.witness)),
+                    [str(ce.config) for ce in report.wrong_class],
+                    [str(ce.config) for ce in report.non_converged],
+                )
+                assert swept == golden.classification(table, n, budget), \
+                    f"{table.variant} n={n} budget={budget}"
 
 
 def test_report_json_shape():
