@@ -140,7 +140,7 @@ def render_pbm(diagram: SpaceTimeDiagram) -> str:
     """Plain PBM (P1); cell value 1 is rendered black."""
     lines = [f"P1\n{diagram.width} {diagram.height}"]
     for row in diagram.rows:
-        lines.append(" ".join(str(row.cell(i)) for i in range(row.n)))
+        lines.append(" ".join(str(row)))
     return "\n".join(lines) + "\n"
 
 

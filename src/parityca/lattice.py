@@ -44,7 +44,7 @@ class Configuration:
         return self.n
 
     def __str__(self) -> str:
-        return "".join(str((self.bits >> i) & 1) for i in range(self.n))
+        return format(self.bits, f"0{self.n}b")[::-1]
 
     def __repr__(self) -> str:
         return f"Configuration({str(self)!r})"

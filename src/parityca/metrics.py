@@ -66,9 +66,25 @@ class OrderedBlock:
 
 
 def find_pattern(x: Configuration, pattern: str) -> list[int]:
-    """Start positions (mod n) where the '0'/'1' pattern occurs."""
-    ring = str(x) * (len(pattern) // x.n + 2)
-    return [p for p in range(x.n) if ring.startswith(pattern, p)]
+    """Start positions (mod n) where the '0'/'1' pattern occurs, ascending."""
+    return _starts(str(x), pattern)
+
+
+def _starts(text: str, pattern: str) -> list[int]:
+    """``find_pattern`` on the ring whose text is ``text``.
+
+    The text is repeated until every start p < n can be read in full,
+    and ``str.find`` is held to the window of such starts.
+    """
+    n = len(text)
+    ring = text * (len(pattern) // n + 2)
+    end = n + len(pattern) - 1
+    found = []
+    p = ring.find(pattern, 0, end)
+    while p >= 0:
+        found.append(p)
+        p = ring.find(pattern, p + 1, end)
+    return found
 
 
 def find_boxes(x: Configuration) -> list[int]:
@@ -84,17 +100,20 @@ def switches(x: Configuration) -> SwitchReport:
     pair. s is the total count; s = 0 exactly on homogeneous rings.
     """
     n = x.n
+    text = str(x)
+    ring = text + text[0]
     boxes = find_boxes(x)
     box_starts = set(boxes)
-    box_cells = set()
-    for b in boxes:
-        box_cells.add(b)
-        box_cells.add((b + 1) % n)
+    box_cells = box_starts | {(b + 1) % n for b in boxes}
     found = []
     for i in range(n):
-        if (i + 1) % n in box_starts:
+        # Both kinds sit between differing cells: a box's 0 follows a 1.
+        if ring[i] == ring[i + 1]:
+            continue
+        j = (i + 1) % n
+        if j in box_starts:
             found.append(Switch(pos=i, kind="b"))
-        elif x.cell(i) != x.cell(i + 1) and i not in box_cells and (i + 1) % n not in box_cells:
+        elif i not in box_cells and j not in box_cells:
             found.append(Switch(pos=i, kind="r"))
     return SwitchReport(switches=tuple(found), boxes=tuple(sorted(boxes)), s=len(found))
 
@@ -104,10 +123,11 @@ def find_domains(x: Configuration) -> list[DomainHit]:
 
     Overlapping hits of different kinds are all reported.
     """
+    text = str(x)
     hits: list[DomainHit] = []
     for kind, pattern, unless in DOMAINS:
-        excluded = set(find_pattern(x, unless)) if unless else set()
-        hits.extend(DomainHit(kind, p) for p in find_pattern(x, pattern) if p not in excluded)
+        excluded = set(_starts(text, unless)) if unless else set()
+        hits.extend(DomainHit(kind, p) for p in _starts(text, pattern) if p not in excluded)
     return sorted(hits, key=lambda hit: hit.pos)
 
 
@@ -119,29 +139,13 @@ def merge_events(x: Configuration, y: Configuration) -> int:
     the site still holds 1 in the image, so the image cell is what gets
     tested.
     """
+    text = str(x)
     count = 0
     for pattern in MERGE_SITES:
-        for p in find_pattern(x, pattern):
+        for p in _starts(text, pattern):
             if y.cell(p + 5):
                 count += 1
     return count
-
-
-def _is_ordered_block(x: Configuration, start: int, length: int) -> bool:
-    half = length // 2
-    pairs = [(x.cell(start + 2 * m), x.cell(start + 2 * m + 1)) for m in range(half)]
-    if any(p == (1, 0) for p in pairs):
-        return False
-    if pairs[0] != (0, 1) or pairs[-1] == (0, 1):
-        return False
-    if pairs[-1] == (1, 1) and x.cell(start + length) != 0:
-        return False
-    return True
-
-
-def _contains(outer: tuple[int, int], inner: tuple[int, int], n: int) -> bool:
-    offset = (inner[0] - outer[0]) % n
-    return offset + inner[1] <= outer[1]
 
 
 def ordered_blocks(x: Configuration) -> list[OrderedBlock]:
@@ -152,25 +156,42 @@ def ordered_blocks(x: Configuration) -> list[OrderedBlock]:
     any) is followed by 0. Blocks may wrap and revisit one cell, so the
     scan covers lengths up to n+1; longer candidates are provably
     impossible and scanning them is a cheap structural self-check.
+
+    Each 01 start reads its aligned pairs once and stops at the first 10
+    pair, which every longer candidate would contain. A block is maximal
+    when it is the longest from its start and no longer block from
+    another start reaches over it.
     """
     n = x.n
-    found: list[tuple[int, int]] = []
+    ring = str(x) * 3
+    found: dict[int, list[int]] = {}
     for start in range(n):
-        if x.cell(start) != 0 or x.cell(start + 1) != 1:
+        if ring[start:start + 2] != "01":
             continue
+        lengths = []
         for length in range(4, 2 * n - 1, 2):
-            if _is_ordered_block(x, start, length):
+            pair = ring[start + length - 2:start + length]
+            if pair == "10":
+                break
+            if pair == "00" or (pair == "11" and ring[start + length] == "0"):
                 if length > n + 1:
                     raise RuntimeError(
                         f"ordered block of length {length} exceeds the {n + 1} bound"
                     )
-                found.append((start, length))
+                lengths.append(length)
+        if lengths:
+            found[start] = lengths
     out = []
-    for blk in found:
-        maximal = not any(
-            other[1] > blk[1] and _contains(other, blk, n) for other in found
+    for start, lengths in found.items():
+        longest = lengths[-1]
+        # The longest cover from another start, counted from this start.
+        reach = max(
+            (other[-1] - (start - s) % n for s, other in found.items() if s != start),
+            default=0,
         )
-        out.append(OrderedBlock(start=blk[0], length=blk[1], maximal=maximal))
+        for length in lengths:
+            maximal = length == longest and length > reach
+            out.append(OrderedBlock(start=start, length=length, maximal=maximal))
     return out
 
 

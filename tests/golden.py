@@ -6,7 +6,8 @@ ordered-block samples come from the published annotated configurations.
 ``necklace_count`` is the closed-form count the necklace sweeps must hit.
 The helpers at the end are plain oracles that only the tests need:
 pattern matching of one neighbourhood code, the active codes of a rule
-table, and concatenation powers of a configuration. The two checks after
+table, the candidate-by-candidate ordered-block scan, and concatenation
+powers of a configuration. The two checks after
 them sweep every ring of one size: the rule-independent properties of
 rings and of the step kernel, and the agreement of the invariant sweep
 with the per-trajectory reference checker. ``classification`` is the
@@ -145,6 +146,50 @@ def active_neighborhoods(table):
         code for code in range(rule.TABLE_SIZE)
         if table.outputs[code] != rule.center_bit(code)
     )
+
+
+def is_ordered_block(x, start, length):
+    """Whether the aligned pairs of cells start..start+length-1 form an ordered block."""
+    half = length // 2
+    pairs = [(x.cell(start + 2 * m), x.cell(start + 2 * m + 1)) for m in range(half)]
+    if any(p == (1, 0) for p in pairs):
+        return False
+    if pairs[0] != (0, 1) or pairs[-1] == (0, 1):
+        return False
+    if pairs[-1] == (1, 1) and x.cell(start + length) != 0:
+        return False
+    return True
+
+
+def ordered_blocks_scan(x):
+    """(start, length, maximal) of every ordered block, by testing every candidate.
+
+    Each 01 start is tried at every even length from 4 to 2n - 2, and a
+    block is maximal when no longer block covers it; a block longer than
+    n + 1 raises as in ``metrics.ordered_blocks``.
+    """
+    n = x.n
+    found = []
+    for start in range(n):
+        if x.cell(start) != 0 or x.cell(start + 1) != 1:
+            continue
+        for length in range(4, 2 * n - 1, 2):
+            if is_ordered_block(x, start, length):
+                if length > n + 1:
+                    raise RuntimeError(
+                        f"ordered block of length {length} exceeds the {n + 1} bound"
+                    )
+                found.append((start, length))
+
+    def contains(outer, inner):
+        return (inner[0] - outer[0]) % n + inner[1] <= outer[1]
+
+    return [
+        (start, length, not any(
+            other[1] > length and contains(other, (start, length)) for other in found
+        ))
+        for start, length in found
+    ]
 
 
 class EvenPower(lattice.ConfigurationError):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -95,3 +97,13 @@ def test_parse_then_render_is_identity(half, data):
     n = 2 * half + 1
     text = data.draw(st.text(alphabet="01", min_size=n, max_size=n))
     assert str(L.parse(text)) == text
+
+
+@pytest.mark.parametrize("n", [*range(1, 64, 2), 1001])
+def test_text_is_the_cell_by_cell_join(n):
+    rng = random.Random(n)
+    for bits in (0, (1 << n) - 1, 1 << (n - 1), *(rng.getrandbits(n) for _ in range(20))):
+        x = L.Configuration(n, bits)
+        text = str(x)
+        assert text == "".join(str(x.cell(i)) for i in range(n))
+        assert L.parse(text) == x

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from parityca import engine as E
@@ -20,6 +21,19 @@ def test_find_pattern_is_cyclic():
     assert M.find_pattern(x, "011") == [1]
     assert M.find_pattern(x, "100") == [3]  # wraps over the seam
     assert M.find_pattern(x, "0") == [0, 1, 4]
+
+
+@pytest.mark.parametrize("n", range(1, 12, 2))
+def test_find_pattern_is_a_startswith_scan(n):
+    # Patterns as long as the ring and longer (D912b has ten cells) included.
+    patterns = ["0", "1", "01", "10", "111", M.BOX,
+                *(pattern for _, pattern, _ in M.DOMAINS)]
+    for bits in range(1 << n):
+        x = L.Configuration(n, bits)
+        ring = str(x) * 12
+        for pattern in patterns:
+            expected = [p for p in range(n) if ring.startswith(pattern, p)]
+            assert M.find_pattern(x, pattern) == expected
 
 
 def test_box_goldens():
@@ -52,6 +66,29 @@ def test_switch_count_along_the_sample_trajectory():
         x = E.step(CORR, x)
         seq.append(M.switches(x).s)
     assert seq == golden.SAMPLE19_S_SEQUENCE
+
+
+def switch_oracle(x):
+    """(pos, kind) of every switch, gap by gap from the box positions."""
+    n = x.n
+    boxes = M.find_boxes(x)
+    box_cells = {c % n for b in boxes for c in (b, b + 1)}
+    found = []
+    for i in range(n):
+        if (i + 1) % n in boxes:
+            found.append((i, "b"))
+        elif x.cell(i) != x.cell(i + 1) and not {i, (i + 1) % n} & box_cells:
+            found.append((i, "r"))
+    return found
+
+
+def test_switches_against_gap_oracle_exhaustive():
+    for n in range(1, 14, 2):
+        for bits in range(1 << n):
+            x = L.Configuration(n, bits)
+            report = M.switches(x)
+            assert [(sw.pos, sw.kind) for sw in report.switches] == switch_oracle(x)
+            assert report.s == len(report.switches)
 
 
 def test_zero_switches_iff_homogeneous_exhaustive():
@@ -192,6 +229,27 @@ def test_ordered_blocks_may_wrap_and_revisit_one_cell():
     assert (0, 6) in blocks
     assert (0, 8) in blocks
     assert max(b.length for b in M.ordered_blocks(x)) == len(x) + 1
+
+
+@pytest.mark.parametrize("n", range(1, 14, 2))
+def test_ordered_blocks_match_the_candidate_scan_exhaustively(n):
+    for bits in range(1 << n):
+        x = L.Configuration(n, bits)
+        blocks = [(b.start, b.length, b.maximal) for b in M.ordered_blocks(x)]
+        assert blocks == golden.ordered_blocks_scan(x)
+
+
+def test_report_json_on_a_1001_cell_ring():
+    # One 01 start at every even cell; each runs through the 00 pair that
+    # wraps at cell 1000 and stops at the 10 after it. Only the block
+    # from cell 0, n + 1 cells long, is covered by no other.
+    x = L.parse("01" * 500 + "0")
+    doc = M.report_json(x)
+    assert doc["config"] == str(x)
+    assert doc["ordered_blocks"] == [
+        {"start": 2 * k, "length": 1002 - 2 * k, "maximal": k == 0} for k in range(500)
+    ]
+    assert doc["s"] == len(doc["switches"]) > 0
 
 
 @given(odd_configs)

@@ -172,9 +172,7 @@ def test_merge_mask_matches_metrics_exhaustively(n):
         assert int(sites).bit_count() == M.merge_events(x, E.step(CORR, x))
 
 
-@pytest.mark.parametrize("n", (7, 9, 11))
-def test_ordered_block_masks_match_metrics_exhaustively(n):
-    c = all_configs(n)
+def assert_ordered_blocks_match(c, n):
     by_length = P.ordered_block_length_masks(c, n, n + 1)
     for row, value in enumerate(c):
         expected = {}
@@ -182,6 +180,16 @@ def test_ordered_block_masks_match_metrics_exhaustively(n):
             expected.setdefault(blk.length, []).append(blk.start)
         for length, mask in by_length.items():
             assert mask_positions(mask[row], n) == sorted(expected.get(length, []))
+
+
+@pytest.mark.parametrize("n", (7, 9, 11, 13))
+def test_ordered_block_masks_match_metrics_exhaustively(n):
+    assert_ordered_blocks_match(all_configs(n), n)
+
+
+@pytest.mark.parametrize("n", (51, 63))
+def test_ordered_block_masks_match_metrics_sampled(n):
+    assert_ordered_blocks_match(sample_configs(n, 300, seed=5 * n), n)
 
 
 # With the bound, the helper checks three rule-independent properties of
