@@ -106,12 +106,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class OutputError(Exception):
+    """The --output file could not be written."""
+
+
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="ascii") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _outcome_summary(outcome) -> str:
@@ -228,6 +235,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage().rstrip(), file=sys.stderr)
+        return 2
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

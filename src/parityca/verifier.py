@@ -1,7 +1,12 @@
-"""Exhaustive and randomized verification of the parity automaton.
+"""Exhaustive verification of the parity automaton.
 
 ``verify_size`` evolves every configuration of one odd size (or one
-representative per rotation class) and classifies the outcomes; with
+representative per rotation class) and classifies the outcomes: correct
+(homogeneous of its parity), wrong (the other homogeneous state or a
+non-homogeneous fixed point) or non-converged. A non-converged
+configuration was either proven cyclic, by Brent's cycle detection in
+the sweep, or still live when the step budget ran out; either way its
+reported outcome is the replay of ``engine.evolve``. With
 ``invariants=True`` it additionally checks, along every trajectory, the
 five step laws that ``check_trajectory_invariants`` checks one ring at a
 time. Work is partitioned into packed-integer chunks that workers
@@ -189,10 +194,24 @@ def _sweep_rows(
     """Evolve and classify the ascending packed configurations ``start``.
 
     Only live trajectories are stepped: a row leaves the arrays as soon as
-    it reaches a homogeneous state or a fixed point. Each step builds one
+    it reaches a homogeneous state or a fixed point, or, without the
+    invariant pass, as soon as it is proven cyclic. Each step builds one
     mask of the rows that finished and classifies only those few. Rows
     keep the ascending order of their first states, ``start``, so the
     first row that meets a condition is its smallest witness.
+
+    The cycle proof is Brent's (BIT 1980): each live row keeps the state
+    it had at the last checkpoint step 2^j, counted from the first power
+    of two ≥ n. A row whose next state equals that saved state repeats
+    the states it has stepped through since, none of which was
+    homogeneous or fixed, or the row would have left there. So it never
+    finishes: it is non-converged at any budget and leaves at once, about
+    2·max(n, μ, λ) + λ steps in for a tail of μ steps and a period of λ.
+    The comparison starts two steps after a checkpoint, because one step
+    after, it is the fixed-point test, and a fixed point is wrong, not
+    non-converged. With the invariant pass every live row steps to the
+    budget, since the laws are checked at every step the reference
+    checker reaches.
     """
     lut = packed.lut64(rule)
     all_ones = packed.mask_of(n)
@@ -203,6 +222,11 @@ def _sweep_rows(
 
     target = np.where(packed.parity_bits(start) == 1, all_ones, np.uint64(0))
     x = start
+    # The first checkpoint comes late, so the cycle test stays off the wide
+    # early steps, where nearly every row still converges. With the
+    # invariant pass it lies past the budget: no cycle is proven.
+    checkpoint = budget + 1 if invariants else 1 << (n - 1).bit_length()
+    saved = cycled = None
     s = drop = d78b = pend = None
     if invariants:
         tables = packed.invariant_tables(rule)
@@ -227,9 +251,16 @@ def _sweep_rows(
             if correct.size:
                 tally.correct += int(correct.size)
                 tally.max_t0, tally.max_t0_arg = t, int(start[correct[0]])
-            tally.wrong += [int(w) for w in start[finished[~right]]]
+            other = finished[~right]
+            if cycled is not None:
+                loops = cycled[other]
+                tally.nonconv += [int(w) for w in start[other[loops]]]
+                other = other[~loops]
+            tally.wrong += [int(w) for w in start[other]]
             live = np.flatnonzero(~done)
             x, start, target = x[live], start[live], target[live]
+            if saved is not None:
+                saved = saved[live]
             if invariants:
                 s, drop, d78b, pend = s[live], drop[live], d78b[live], pend[live]
         if x.size == 0 or t >= budget:
@@ -245,9 +276,14 @@ def _sweep_rows(
             record(FIXED_POINT, y == x, t)
             s, drop, d78b = s_y, drop_y, d78b_y
         done = (y == 0) | (y == all_ones) | (y == x)
+        if saved is not None:
+            cycled = y == saved
+            done |= cycled
+        if t == checkpoint:
+            saved, checkpoint = x, 2 * checkpoint
         x = y
         t += 1
-    tally.nonconv = [int(w) for w in start]
+    tally.nonconv += [int(w) for w in start]
     return tally
 
 

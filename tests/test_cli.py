@@ -70,6 +70,15 @@ def test_evolve_output_file(tmp_path, capsys):
     assert target.read_text().startswith("P1\n5 2\n")
 
 
+def test_evolve_unwritable_output_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "diagram.txt"
+    code, out, err = run(capsys, "evolve", "--config", golden.FAULTY,
+                         "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
 def test_annotate_reports_switch_count(capsys):
     code, out, _ = run(capsys, "annotate", "--config", golden.SAMPLE19_ROWS[0])
     assert code == 0

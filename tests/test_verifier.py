@@ -1,5 +1,7 @@
 import json
+import random
 
+import numpy as np
 import pytest
 
 from parityca import engine as E
@@ -145,10 +147,8 @@ def test_reports_are_deterministic_across_workers_and_chunking():
         == neck
 
 
-def test_wide_necklace_chunks_step_at_most_a_default_chunk_of_rows(monkeypatch):
-    # The first necklace chunk of n = 21 holds 98,710 representatives.
-    assert V.NECKLACE_CHUNK > V.DEFAULT_CHUNK
-    assert P.necklaces(21, 0, V.NECKLACE_CHUNK).size == 98_710
+def count_steps(monkeypatch):
+    """The widths of the ``packed.batch_step`` calls from here on, one per call."""
     inner = P.batch_step
     widths = []
 
@@ -157,12 +157,37 @@ def test_wide_necklace_chunks_step_at_most_a_default_chunk_of_rows(monkeypatch):
         return inner(lut, c, n)
 
     monkeypatch.setattr(P, "batch_step", counting)
+    return widths
+
+
+def test_wide_necklace_chunks_step_at_most_a_default_chunk_of_rows(monkeypatch):
+    # The first necklace chunk of n = 21 holds 98,710 representatives.
+    assert V.NECKLACE_CHUNK > V.DEFAULT_CHUNK
+    assert P.necklaces(21, 0, V.NECKLACE_CHUNK).size == 98_710
+    widths = count_steps(monkeypatch)
     wide = V.verify_size(ORIG, 21, mode="necklace")
     # The first slice is full; only 0...0 leaves it before the first step.
     assert max(widths) == V.DEFAULT_CHUNK - 1
-    monkeypatch.setattr(P, "batch_step", inner)
+    monkeypatch.undo()
     narrow = V.verify_size(ORIG, 21, mode="necklace", chunk_size=V.DEFAULT_CHUNK)
     assert wide == narrow
+
+
+def test_cyclic_rows_leave_the_sweep_once_proven(monkeypatch):
+    # The 13-cell glider has period 13: saved at the checkpoint 16, it
+    # recurs at step 29, where the budget would step it to 676.
+    calls = count_steps(monkeypatch)
+    report = V.verify_size(ORIG, 13, mode="necklace")
+    assert len(report.non_converged) == 1
+    assert len(calls) <= 29
+    # Its triple lift is caught at 64 + 13 steps instead of 4 * 39^2 = 6,084.
+    calls.clear()
+    lift = golden.concat_power(L.parse(golden.FAULTY), 3)
+    tally = V._sweep_rows(
+        ORIG, 39, E.default_budget(39), False, np.array([lift.bits], dtype=np.uint64)
+    )
+    assert tally.nonconv == [lift.bits]
+    assert len(calls) <= 77
 
 
 def test_search_counterexamples_original():
@@ -272,6 +297,8 @@ def broken_table(name, output):
 # The identity fixes every ring; the complement breaks parity and raises
 # s; the corrected table with code 193 flipped breaks the two-step law at
 # n = 7. The complement's default budget is left out: it takes 25 s at n = 9.
+# At budget 40 its period-2 rows pass the checkpoints 16 and 32, so a
+# cycle proof that cut rows short in the invariant pass would show.
 IDENTITY = broken_table("identity", center_bit)
 COMPLEMENT = broken_table("complement", lambda code: 1 - center_bit(code))
 FLIP_193 = broken_table(
@@ -282,7 +309,7 @@ FLIP_193 = broken_table(
 def test_sweep_and_reference_checker_agree_on_broken_tables():
     seen = set()
     for table, budgets in (
-        (IDENTITY, (None, 3)), (COMPLEMENT, (3,)), (FLIP_193, (None, 3))
+        (IDENTITY, (None, 3)), (COMPLEMENT, (3, 40)), (FLIP_193, (None, 3))
     ):
         for n in range(1, 10, 2):
             for budget in budgets:
@@ -295,21 +322,56 @@ def test_sweep_and_reference_checker_agree_on_broken_tables():
     }
 
 
+def swept_classification(table, n, budget):
+    """``verify_size``'s report in the shape of ``golden.classification``."""
+    report = V.verify_size(table, n, budget=budget)
+    return (
+        report.checked,
+        report.correct,
+        None if report.max_t0 is None
+        else (report.max_t0.steps, str(report.max_t0.witness)),
+        [str(ce.config) for ce in report.wrong_class],
+        [str(ce.config) for ce in report.non_converged],
+    ), report
+
+
+# Seeds of random 512-bit rule tables. Table 63 has rings of 9 cells that
+# reach a non-homogeneous fixed point at step 16 or 17, just at the
+# checkpoint 16, where a cycle test one step too early would fire.
+RANDOM_SEEDS = (2, 3, 63)
+
+
 def test_sweep_classification_agrees_with_the_reference_classifier():
     for table in (CORR, ORIG, IDENTITY, COMPLEMENT, FLIP_193):
         for n in range(1, 10, 2):
             for budget in (None, 3):
-                report = V.verify_size(table, n, budget=budget)
-                swept = (
-                    report.checked,
-                    report.correct,
-                    None if report.max_t0 is None
-                    else (report.max_t0.steps, str(report.max_t0.witness)),
-                    [str(ce.config) for ce in report.wrong_class],
-                    [str(ce.config) for ce in report.non_converged],
-                )
+                swept, _ = swept_classification(table, n, budget)
                 assert swept == golden.classification(table, n, budget), \
                     f"{table.variant} n={n} budget={budget}"
+
+
+def test_sweep_classification_agrees_on_random_tables():
+    # Budgets 40 and 100 span the checkpoints 16, 32 and 64. These tables
+    # cycle with periods from 3 to 99, and some of their rows run out of
+    # budget without a recurrence.
+    periods, exhausted = set(), 0
+    for seed in RANDOM_SEEDS:
+        rng = random.Random(seed)
+        table = RuleTable(
+            f"random-{seed}", bytes(rng.getrandbits(1) for _ in range(TABLE_SIZE))
+        )
+        for n in range(1, 10, 2):
+            for budget in (40, 100):
+                swept, report = swept_classification(table, n, budget)
+                assert swept == golden.classification(table, n, budget), \
+                    f"{table.variant} n={n} budget={budget}"
+                for ce in report.non_converged:
+                    if isinstance(ce.outcome, E.Cycle):
+                        periods.add(ce.outcome.period)
+                    else:
+                        exhausted += 1
+    assert {3, 99} <= periods
+    assert exhausted
 
 
 def test_report_json_shape():
