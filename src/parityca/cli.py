@@ -231,7 +231,13 @@ def main(argv: list[str] | None = None) -> int:
         except argparse.ArgumentTypeError as exc:
             parser.error(f"{WORKERS_ENV}: {exc}")
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left: send the flush at exit to devnull, end as SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage().rstrip(), file=sys.stderr)

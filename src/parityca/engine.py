@@ -9,9 +9,13 @@ from .rule import RuleTable
 _WINDOW_MASK = 0x1FF
 
 
-def default_budget(n: int) -> int:
-    """Step cap for evolution; observed convergence times stay near 1.5n."""
-    return 4 * n * n
+def default_budget(n: int, budget: int | None = None) -> int:
+    """The step cap: ``budget``, at least 1, or 4n² (convergence stays near 1.5n)."""
+    if budget is None:
+        return 4 * n * n
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    return budget
 
 
 def step(rule: RuleTable, x: Configuration) -> Configuration:
@@ -75,12 +79,8 @@ def evolve(rule: RuleTable, x: Configuration, budget: int | None = None) -> Outc
     moment it happens. Rotation displacement is derived afterwards by
     scanning the cycle for rotations of its entry state.
     """
-    if budget is None:
-        budget = default_budget(x.n)
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    budget = default_budget(x.n, budget)
     seen = {x: 0}
-    history = [x]
     cur = x
     for t in range(1, budget + 1):
         nxt = step(rule, cur)
@@ -89,11 +89,10 @@ def evolve(rule: RuleTable, x: Configuration, budget: int | None = None) -> Outc
         entry = seen.get(nxt)
         if entry is not None:
             period = t - entry
-            steps, d = _cycle_displacement(history[entry:], period)
+            steps, d = _cycle_displacement(list(seen)[entry:], period)
             return Cycle(entry=entry, period=period, displacement=d,
                          displacement_steps=steps)
         seen[nxt] = t
-        history.append(nxt)
         cur = nxt
     return BudgetExceeded(steps=budget)
 

@@ -51,18 +51,17 @@ class Configuration:
 
 
 def parse(text: str) -> Configuration:
-    """Read a configuration from its compact '0'/'1' form."""
+    """Read a configuration from its compact '0'/'1' form, the inverse of ``str``."""
     if text == "":
         raise EmptyConfiguration("configuration text is empty")
-    bits = 0
-    for i, ch in enumerate(text):
-        if ch == "1":
-            bits |= 1 << i
-        elif ch != "0":
-            raise InvalidCharacter(f"invalid character {ch!r} at index {i}")
+    rest = text.lstrip("01")
+    if rest:
+        raise InvalidCharacter(
+            f"invalid character {rest[0]!r} at index {len(text) - len(rest)}"
+        )
     if len(text) % 2 == 0:
         raise EvenLength(f"length must be odd, got {len(text)}")
-    return Configuration(n=len(text), bits=bits)
+    return Configuration(n=len(text), bits=int(text[::-1], 2))
 
 
 def parity(x: Configuration) -> int:

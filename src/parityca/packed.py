@@ -135,18 +135,14 @@ def match_mask(c: np.ndarray, n: int, pattern: str, offset: int = 0) -> np.ndarr
     return _match(cells, pattern) & mask_of(n)
 
 
-def box_mask(c: np.ndarray, n: int) -> np.ndarray:
-    """bit i set iff cells (i, i+1) form a box (01 after 1, before 00)."""
-    return match_mask(c, n, metrics.BOX, offset=-1)
-
-
 def switch_gaps(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """bit i set iff gap i is a switch, plus the box start mask.
 
-    A gap is a regular switch or a block switch (a box starts at i + 1);
-    no gap is both, since a regular switch keeps clear of box cells.
+    A gap is a regular switch or a block switch (a box, 01 after 1 and
+    before 00, starts at i + 1); no gap is both, since a regular switch
+    keeps clear of box cells.
     """
-    box = box_mask(c, n)
+    box = match_mask(c, n, metrics.BOX, offset=-1)
     box_cells = box | rotl(box, -1, n)
     diff = c ^ rotl(c, 1, n)
     regular = diff & ~box_cells & ~rotl(box_cells, 1, n)

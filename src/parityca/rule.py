@@ -10,7 +10,6 @@ and which cycles forever on some inputs.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -62,20 +61,10 @@ class ActiveTransition:
             raise ValueError(f"{self.id}: centre symbol must be fixed")
 
     def expand(self) -> frozenset[int]:
-        """All neighbourhood codes matching the pattern."""
-        free = [j for j, ch in enumerate(self.pattern) if ch == "*"]
-        base = sum(
-            int(ch) << (NEIGHBORHOOD - 1 - j)
-            for j, ch in enumerate(self.pattern)
-            if ch != "*"
-        )
-        codes = set()
-        for fill in itertools.product((0, 1), repeat=len(free)):
-            code = base
-            for j, bit in zip(free, fill):
-                code |= bit << (NEIGHBORHOOD - 1 - j)
-            codes.add(code)
-        return frozenset(codes)
+        """All neighbourhood codes that agree with the pattern on its fixed cells."""
+        care = int(self.pattern.replace("0", "1").replace("*", "0"), 2)
+        value = int(self.pattern.replace("*", "0"), 2)
+        return frozenset(code for code in range(TABLE_SIZE) if code & care == value)
 
     def mirrored(self) -> "ActiveTransition":
         """Left-right reflection; the centre stays at index 4."""
@@ -137,12 +126,10 @@ def wolfram_number(rule: RuleTable) -> str:
 
     Bit k of the number is the output for the neighbourhood with code k,
     so the all-ones neighbourhood contributes the most significant bit and
-    the all-zeros neighbourhood the least significant one.
+    the all-zeros neighbourhood the least significant one: ``table_string``
+    is the number in binary.
     """
-    value = 0
-    for code in range(TABLE_SIZE):
-        value |= rule.outputs[code] << code
-    return str(value)
+    return str(int(table_string(rule), 2))
 
 
 def table_string(rule: RuleTable) -> str:

@@ -218,7 +218,7 @@ def _sweep_rows(
     tally = _Tally(checked=int(start.size))
 
     def record(invariant: str, rows: np.ndarray, step: int) -> None:
-        tally.violations.extend((invariant, int(w), step) for w in start[rows])
+        tally.violations.extend((invariant, w, step) for w in start[rows].tolist())
 
     target = np.where(packed.parity_bits(start) == 1, all_ones, np.uint64(0))
     x = start
@@ -254,9 +254,9 @@ def _sweep_rows(
             other = finished[~right]
             if cycled is not None:
                 loops = cycled[other]
-                tally.nonconv += [int(w) for w in start[other[loops]]]
+                tally.nonconv += start[other[loops]].tolist()
                 other = other[~loops]
-            tally.wrong += [int(w) for w in start[other]]
+            tally.wrong += start[other].tolist()
             live = np.flatnonzero(~done)
             x, start, target = x[live], start[live], target[live]
             if saved is not None:
@@ -283,7 +283,7 @@ def _sweep_rows(
             saved, checkpoint = x, 2 * checkpoint
         x = y
         t += 1
-    tally.nonconv += [int(w) for w in start]
+    tally.nonconv += start.tolist()
     return tally
 
 
@@ -305,10 +305,7 @@ def verify_size(
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if budget is not None and budget < 1:
-        raise ValueError("budget must be at least 1")
-    if budget is None:
-        budget = engine.default_budget(n)
+    budget = engine.default_budget(n, budget)
     chunks = plan_sweep(n, chunk_size, mode)
     sweep = functools.partial(_sweep_chunk, rule, n, chunks.step, budget, mode, invariants)
     if workers == 1 or len(chunks) == 1:
@@ -349,12 +346,9 @@ def search_counterexamples(
     """Scan sizes 1, 3, ..., n_max for misclassified configurations."""
     if n_max > packed.MAX_N:
         raise ValueError(f"size must be at most {packed.MAX_N}, got {n_max}")
-    found: list[tuple[int, Configuration, Outcome]] = []
-    for n in range(1, n_max + 1, 2):
-        report = verify_size(rule, n, budget=budget, mode=mode, workers=workers)
-        for ce in report.counterexamples():
-            found.append((n, ce.config, ce.outcome))
-    return found
+    reports = (verify_size(rule, n, budget=budget, mode=mode, workers=workers)
+               for n in range(1, n_max + 1, 2))
+    return [(r.n, ce.config, ce.outcome) for r in reports for ce in r.counterexamples()]
 
 
 def check_trajectory_invariants(
@@ -370,10 +364,7 @@ def check_trajectory_invariants(
     The laws are guarantees of the corrected rule; the checker itself
     runs on any rule table.
     """
-    if budget is None:
-        budget = engine.default_budget(x.n)
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    budget = engine.default_budget(x.n, budget)
     violations: list[Violation] = []
     witness = str(x)
 

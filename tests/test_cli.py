@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -277,3 +281,26 @@ def test_unknown_command_exits_two(capsys):
         cli.main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, keep", [
+    (["verify", "--sizes", "1..15"], 10),
+    # The diff reaches a buffered stdout in one write, which succeeds while
+    # any reader is left, so here the reader is gone before the command runs.
+    (["rule", "--emit", "diff"], 0),
+], ids=["verify", "rule-diff"])
+def test_a_reader_closing_the_pipe_ends_the_command_quietly(argv, keep):
+    read_end, write_end = os.pipe()
+    reader = os.fdopen(read_end, "rb")
+    if keep == 0:
+        reader.close()
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "parityca.cli", *argv],
+                            stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    if keep:
+        assert len(reader.read(keep)) == keep
+        reader.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""

@@ -78,6 +78,14 @@ def test_budget_exceeded_is_reported():
         E.evolve(CORR, L.parse("101"), budget=0)
 
 
+def test_default_budget_is_4n2_or_the_given_budget_of_at_least_one():
+    assert E.default_budget(5) == 100
+    assert E.default_budget(5, 7) == 7
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            E.default_budget(5, budget)
+
+
 def test_space_time_of_zero_steps_is_the_input_row():
     x = L.parse("10100")
     diagram = E.space_time(CORR, x, 0)

@@ -31,8 +31,10 @@ def test_parse_rejects_bad_input():
         L.parse("01")
     with pytest.raises(L.EmptyConfiguration):
         L.parse("")
-    with pytest.raises(L.InvalidCharacter):
+    with pytest.raises(L.InvalidCharacter, match="'x' at index 4"):
         L.parse("0101x01")
+    with pytest.raises(L.InvalidCharacter, match="'x' at index 1000$"):
+        L.parse("0" * 1000 + "x")
 
 
 def test_parity_examples():
