@@ -143,10 +143,11 @@ def test_verify_necklace_mode(capsys):
     assert doc["checked"] == 60  # binary necklaces of length 9
 
 
-# The sha256 of the whole stdout of three verify runs: one per sweep mode,
-# and an invariant sweep whose budget of 3 steps leaves most rings
-# unconverged, so that its reports list thousands of counterexamples next
-# to the violations. A change to any report byte fails here.
+# The sha256 of the whole stdout of four verify runs: a full and a
+# necklace sweep, and two invariant sweeps, one of whose budget of 3 steps
+# leaves most rings unconverged, so that its reports list thousands of
+# counterexamples next to the violations. A change to any report byte
+# fails here.
 PINNED_REPORTS = [
     (("--sizes", "9..15", "--invariants"),
      "97756420f2f81254b4f9a92ccc19ccdd4f1e46c19d7069720a5dd79c582e92dd"),
@@ -154,11 +155,16 @@ PINNED_REPORTS = [
      "1a10dcd80bf3c62122244bf0f695bd0716e37130f8657edcf1e9349f408a423d"),
     (("--sizes", "9..13", "--invariants", "--budget", "3"),
      "31ced4729026a34ad9bb38d6cd5ed71d51f2fa7265f3520d0003cc79089853d9"),
+    # Full mode merges live states from n = 13 on; at 13 the rotations of
+    # the glider step on through the merges until Brent's check proves
+    # their cycle.
+    (("--sizes", "1..17"),
+     "b075af8cbad6d0d5a73f052e67c6babdfcbb8851762f9b6c63b665ff7794df69"),
 ]
 
 
 @pytest.mark.parametrize(
-    "args, digest", PINNED_REPORTS, ids=["invariants", "necklace", "invariants-budget"]
+    "args, digest", PINNED_REPORTS, ids=["invariants", "necklace", "invariants-budget", "full"]
 )
 def test_verify_reports_are_pinned(capsys, args, digest):
     _, out, _ = run(capsys, "verify", "--rule", "original", *args)

@@ -145,6 +145,14 @@ def test_reports_are_deterministic_across_workers_and_chunking():
             == neck, f"chunk_size={chunk_size}"
     assert V.verify_size(ORIG, 11, mode="necklace", chunk_size=64, workers=2).to_json() \
         == neck
+    # A slice of at least MERGE_FLOOR rows merges its live states; the
+    # slices of chunks below the floor never do.
+    for n, mode in ((15, V.FULL), (17, V.NECKLACE)):
+        merged = V.verify_size(ORIG, n, mode=mode).to_json()
+        for chunk_size, workers in ((64, 1), (777, 1), (777, 2)):
+            assert V.verify_size(
+                ORIG, n, mode=mode, chunk_size=chunk_size, workers=workers
+            ).to_json() == merged, f"n={n} {mode} chunk_size={chunk_size} workers={workers}"
 
 
 def count_steps(monkeypatch):
@@ -188,6 +196,14 @@ def test_cyclic_rows_leave_the_sweep_once_proven(monkeypatch):
     )
     assert tally.nonconv == [lift.bits]
     assert len(calls) <= 77
+
+
+def test_rows_in_one_state_are_stepped_once(monkeypatch):
+    # Stepped one by one, the rows of n = 17 took 10.85 steps each.
+    widths = count_steps(monkeypatch)
+    report = V.verify_size(CORR, 17)
+    assert report.passed
+    assert sum(widths) <= 3 << 17
 
 
 def test_search_counterexamples_original():
@@ -341,16 +357,36 @@ def swept_classification(table, n, budget):
 RANDOM_SEEDS = (2, 3, 63)
 
 
-def test_sweep_classification_agrees_with_the_reference_classifier():
+# With a floor of 1 every slice merges, past the checkpoints too.
+MERGE_FLOORS = (V.MERGE_FLOOR, 1)
+
+
+def test_sweep_classification_agrees_with_the_reference_classifier(monkeypatch):
     for table in (CORR, ORIG, IDENTITY, COMPLEMENT, FLIP_193):
         for n in range(1, 10, 2):
             for budget in (None, 3):
-                swept, _ = swept_classification(table, n, budget)
-                assert swept == golden.classification(table, n, budget), \
-                    f"{table.variant} n={n} budget={budget}"
+                expected = golden.classification(table, n, budget)
+                for floor in MERGE_FLOORS:
+                    monkeypatch.setattr(V, "MERGE_FLOOR", floor)
+                    swept, _ = swept_classification(table, n, budget)
+                    assert swept == expected, \
+                        f"{table.variant} n={n} budget={budget} floor={floor}"
 
 
-def test_sweep_classification_agrees_on_random_tables():
+def test_merged_sweep_classification_agrees_with_the_reference_classifier():
+    # The 8,192 rings of n = 13 fill one slice above the merge floor.
+    assert 1 << 13 >= V.MERGE_FLOOR
+    for table, budgets in (
+        (CORR, (None,)), (ORIG, (None, 3)), (IDENTITY, (3,)), (COMPLEMENT, (3,)),
+        (FLIP_193, (None, 3)),
+    ):
+        for budget in budgets:
+            swept, _ = swept_classification(table, 13, budget)
+            assert swept == golden.classification(table, 13, budget), \
+                f"{table.variant} budget={budget}"
+
+
+def test_sweep_classification_agrees_on_random_tables(monkeypatch):
     # Budgets 40 and 100 span the checkpoints 16, 32 and 64. These tables
     # cycle with periods from 3 to 99, and some of their rows run out of
     # budget without a recurrence.
@@ -362,9 +398,12 @@ def test_sweep_classification_agrees_on_random_tables():
         )
         for n in range(1, 10, 2):
             for budget in (40, 100):
-                swept, report = swept_classification(table, n, budget)
-                assert swept == golden.classification(table, n, budget), \
-                    f"{table.variant} n={n} budget={budget}"
+                expected = golden.classification(table, n, budget)
+                for floor in MERGE_FLOORS:
+                    monkeypatch.setattr(V, "MERGE_FLOOR", floor)
+                    swept, report = swept_classification(table, n, budget)
+                    assert swept == expected, \
+                        f"{table.variant} n={n} budget={budget} floor={floor}"
                 for ce in report.non_converged:
                     if isinstance(ce.outcome, E.Cycle):
                         periods.add(ce.outcome.period)
