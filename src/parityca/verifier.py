@@ -24,11 +24,14 @@ consecutive slices of at most ``DEFAULT_CHUNK`` rows, which bounds the
 stepping arrays of a dense range.
 
 The rule contracts hard: of the live states of a 2^16-ring slice at
-n = 19, about 30% are distinct after one step and under 4% after six. So,
-without the invariant pass, a slice merges the rows that are in one
-state at one step and steps each distinct state once, while enough
-states are live and the sort key fits in 64 bits (see ``_sweep_rows``). A full sweep at n = 19 steps 2.3 states per checked
-ring, where stepping each row on its own would take 12.4.
+n = 19, about 30% are distinct after one step and under 4% after six. So
+a slice merges the rows that are in one state at one step and steps
+each distinct state once, while enough states are live and the sort key
+fits in 64 bits (see ``_sweep_rows``). With the invariant pass, rows
+merge only if they also agree in the two bits of their history that the
+laws still read. A full sweep at n = 19 steps 2.3 states per checked
+ring, and one with the invariant pass 2.4, where stepping each row on
+its own would take 12.4.
 """
 from __future__ import annotations
 
@@ -209,21 +212,21 @@ def _sweep_rows(
 
     Rows in one state at one step share every later state, since the
     rule is a function: they finish at the same step in the same state,
-    or none of them does. So, without the invariant pass, the live states
-    are merged at the steps 1, 2, 4, 8, ..., while at least
-    ``MERGE_FLOOR`` are live, and each distinct state is stepped once.
-    Below the floor the sort costs more than the steps it saves: merging
-    every slice made the 2,192-row necklace sweep at n = 15 about 10%
-    slower (2-vCPU Xeon). A merge sorts each state above its row index in
-    one uint64 key, so it also needs n + bit_length(rows - 1) ≤ 64: a
-    full 2^16-row slice merges only up to n = 48. A live
-    state stands for a group of rows, named by one member's row index;
-    the group finishes once, and every row takes its last state and its
-    step t0. Each ring is still simulated step by step; no symmetry is
-    used. The slice is classified at the end, row by row: a row is
-    correct iff it ended homogeneous of its own parity, so rows of one
-    group may differ in parity, as they can under a rule that does not
-    conserve it. The smallest witness of a condition is its first row.
+    or none of them does. So the live states are merged at the steps 1,
+    2, 4, 8, ..., while at least ``MERGE_FLOOR`` are live, and each
+    distinct state is stepped once. Below the floor the sort costs more
+    than the steps it saves: merging every slice made the 2,192-row
+    necklace sweep at n = 15 about 10% slower (2-vCPU Xeon). A merge
+    sorts each state above its position in one uint64 key, so it also
+    needs n + bit_length(rows - 1) ≤ 64: a full 2^16-row slice merges
+    only up to n = 48. A live state stands for a group of rows, named by
+    one member's row index; the group finishes once, and every row takes
+    its last state and its step t0. Each ring is still simulated step by
+    step; no symmetry is used. The slice is classified at the end, row by
+    row: a row is correct iff it ended homogeneous of its own parity, so
+    rows of one group may differ in parity, as they can under a rule that
+    does not conserve it. The smallest witness of a condition is its
+    first row.
 
     The cycle proof is Brent's (BIT 1980): each group keeps the state it
     had at the last checkpoint step 2^j, counted from the first power of
@@ -238,11 +241,15 @@ def _sweep_rows(
     after, it is the fixed-point test, and a fixed point is wrong, not
     non-converged.
 
-    With the invariant pass every live row steps to the budget on its
-    own: the laws are checked at every step the reference checker
-    reaches, each violation is listed by its start and step, and the
-    two-step law carries each row's own history, so neither cycle proofs
-    nor merges run.
+    With the invariant pass no cycle is proven: the laws are checked at
+    every step the reference checker reaches, up to the budget. Beyond
+    its state, a row carries two bits that later violations depend on:
+    the parity of its start, and whether the two-step law is pending
+    (then the pending count is the switch count of its state). So rows
+    merge only if they agree in state and in both bits, which sit above
+    the state in the key (n + 2 + bit_length(rows - 1) ≤ 64). A violation
+    is recorded once for its group and step; at the end it goes to every
+    row that had joined the group by that step, latest merge first.
     """
     lut = packed.lut64(rule)
     all_ones = packed.mask_of(n)
@@ -251,38 +258,45 @@ def _sweep_rows(
 
     # Each live state x[i] belongs to the group group[i]. A group's last
     # state and step go to final and t0; t0 stays -1 for a group that
-    # never finishes, proven cyclic or live at the budget.
+    # never finishes, proven cyclic or live at the budget. With the
+    # invariant pass, carry holds the rows' par, s, drop, d78b and pend.
     x = start
     group = np.arange(size)
+    carry = ()
     final = np.zeros(size, dtype=np.uint64)
     t0 = np.full(size, -1, dtype=np.int64)
-    # A merge sorts keys that hold a state above its group.
+    # A merge sorts keys that hold a tag (the state, and with the
+    # invariant pass the two bits above it) above the row's position.
     key_bits = max(size - 1, 1).bit_length()
-    merging = not invariants and n + key_bits <= 64
+    tag_bits = n + 2 if invariants else n
+    merging = tag_bits + key_bits <= 64
     merges = []
 
-    def merge(x: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct states of x, each with the group of its first holder.
+    def take(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+        return x[rows], group[rows], tuple(a[rows] for a in carry)
 
-        Records the holders' groups in state order with the start of each
-        state's run: every group joins the first of its run and takes its
-        outcome.
+    def merge(tag: np.ndarray) -> np.ndarray:
+        """The position of the first holder of each distinct tag.
+
+        Records, with the step, the holders' groups in tag order and the
+        start of each tag's run: every group joins the first of its run.
         """
-        key = x << np.uint64(key_bits)
-        key |= group.view(np.uint64)
+        key = tag << np.uint64(key_bits)
+        key |= np.arange(tag.size, dtype=np.uint64)
         key.sort()
-        members = (key & np.uint64((1 << key_bits) - 1)).view(np.int64)
+        pos = (key & np.uint64((1 << key_bits) - 1)).view(np.int64)
         key >>= np.uint64(key_bits)
         heads = np.concatenate(([0], np.flatnonzero(key[1:] != key[:-1]) + 1))
-        merges.append((members, heads))
-        return key[heads], members[heads]
+        merges.append((t, group[pos], heads))
+        return pos[heads]
 
     # The first checkpoint comes late, so the cycle test stays off the wide
     # early steps, where nearly every row still converges. With the
     # invariant pass it lies past the budget: no cycle is proven.
     checkpoint = budget + 1 if invariants else 1 << (n - 1).bit_length()
     saved = cycled = None
-    par = s = drop = d78b = pend = None
+    # Each entry of flagged is a (law, step, groups) that broke the law then.
+    flagged = []
     if invariants:
         tables = packed.invariant_tables(rule)
 
@@ -292,11 +306,10 @@ def _sweep_rows(
             return np.bitwise_count(switch).astype(np.int64), drop != 0, d78b != 0
 
         def record(invariant: str, rows: np.ndarray, step: int) -> None:
-            tally.violations.extend((invariant, w, step) for w in start[group[rows]].tolist())
+            if rows.any():
+                flagged.append((invariant, step, group[rows]))
 
-        par = packed.parity_bits(start)
-        s, drop, d78b = laws(x)
-        pend = np.full(size, -1, dtype=np.int64)
+        carry = (packed.parity_bits(start), *laws(x), np.full(size, -1, dtype=np.int64))
 
     # A homogeneous state is its own target, so such rows finish correct at t0 = 0.
     done, t, merge_step = (x == 0) | (x == all_ones), 0, 1
@@ -306,26 +319,28 @@ def _sweep_rows(
             ended = group[finished]
             final[ended] = x[finished]
             t0[ended] = t if cycled is None else np.where(cycled[finished], -1, t)
-            live = np.flatnonzero(~done)
-            x, group = x[live], group[live]
-            if invariants:
-                par, s, drop, d78b, pend = par[live], s[live], drop[live], d78b[live], pend[live]
+            x, group, carry = take(np.flatnonzero(~done))
         if x.size == 0 or t >= budget:
             break
         if t == merge_step:
             merge_step *= 2
             if merging and x.size >= MERGE_FLOOR:
-                x, group = merge(x, group)
+                tag = x
+                if invariants:
+                    par, _, _, _, pend = carry
+                    tag = x | par.astype(np.uint64) << np.uint64(n)
+                    tag |= (pend >= 0).astype(np.uint64) << np.uint64(n + 1)
+                x, group, carry = take(merge(tag))
         y = packed.batch_step(lut, x, n)
         if invariants:
+            par, s, drop, d78b, pend = carry
             s_y, drop_y, d78b_y = laws(y)
             record(PARITY_CONSERVED, packed.parity_bits(y) != par, t)
             record(SWITCH_MONOTONE, s_y > s, t)
             record(SWITCH_STRICT, drop & ~(s_y < s), t)
             record(TWO_STEP_DECREASE, (pend >= 0) & ~(s_y < pend), t)
-            pend = np.where(d78b & ~(s_y < s), s_y, -1)
             record(FIXED_POINT, y == x, t)
-            s, drop, d78b = s_y, drop_y, d78b_y
+            carry = par, s_y, drop_y, d78b_y, np.where(d78b & ~(s_y < s), s_y, -1)
         done = (y == 0) | (y == all_ones) | (y == x)
         if saved is not None:
             cycled = y == saved[group]
@@ -338,9 +353,11 @@ def _sweep_rows(
         t += 1
 
     # Rows take the outcome of the group they joined, latest merge first.
-    for members, heads in reversed(merges):
+    for _, members, heads in reversed(merges):
         joined = np.repeat(members[heads], np.diff(heads, append=members.size))
         final[members], t0[members] = final[joined], t0[joined]
+    if flagged:
+        tally.violations = _listed_violations(flagged, merges, start)
     target = np.where(packed.parity_bits(start) == 1, all_ones, np.uint64(0))
     never = t0 < 0
     right = ~never & (final == target)
@@ -352,6 +369,36 @@ def _sweep_rows(
     tally.wrong = start[~never & ~right].tolist()
     tally.nonconv = start[never].tolist()
     return tally
+
+
+def _listed_violations(
+    flagged: list[tuple[str, int, np.ndarray]], merges: list, start: np.ndarray
+) -> list[tuple[str, int, int]]:
+    """The (law, start, step) of every row in each group that broke a law.
+
+    Each entry of ``flagged`` names a law, a step and the groups that broke
+    the law then. A violation of a group at step t holds for every row
+    that had joined the group by then. So the merges are undone latest
+    first, and each hands the violations at or after its step to every
+    group of the run it merged.
+    """
+    entry = np.repeat(np.arange(len(flagged)), [groups.size for _, _, groups in flagged])
+    holder = np.concatenate([groups for _, _, groups in flagged])
+    entry_step = np.array([step for _, step, _ in flagged])
+    runs = np.empty(start.size, dtype=np.int64)
+    for step, members, heads in reversed(merges):
+        later = entry_step[entry] >= step
+        runs[members[heads]] = np.arange(heads.size)
+        run = runs[holder[later]]
+        width = np.diff(heads, append=members.size)[run]
+        spread = np.repeat(heads[run] - np.cumsum(width) + width, width)
+        spread += np.arange(spread.size)
+        entry = np.concatenate((entry[~later], np.repeat(entry[later], width)))
+        holder = np.concatenate((holder[~later], members[spread]))
+    return [
+        (flagged[e][0], w, flagged[e][1])
+        for e, w in zip(entry.tolist(), start[holder].tolist())
+    ]
 
 
 def verify_size(
@@ -378,7 +425,7 @@ def verify_size(
     if workers == 1 or len(chunks) == 1:
         tally = functools.reduce(_Tally.add, map(sweep, chunks), _Tally())
     else:
-        with multiprocessing.Pool(processes=workers) as pool:
+        with multiprocessing.Pool(processes=min(workers, len(chunks))) as pool:
             tally = functools.reduce(_Tally.add, pool.imap(sweep, chunks), _Tally())
 
     def replay(value: int) -> Counterexample:

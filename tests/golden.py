@@ -233,22 +233,22 @@ def check_ring_and_kernel_properties(table, n):
             assert length <= n + 1 or not m.any(), f"n={n}: ordered block of {length}"
 
 
-def violation_triples(table, n, budget=None):
-    """The sorted (invariant, witness, step) of the sweep and of the reference.
-
-    The first list comes from ``verify_size(..., invariants=True)``, the
-    second from ``check_trajectory_invariants`` on every ring of n cells.
-    """
+def swept_violations(table, n, budget=None):
+    """The sorted (invariant, witness, step) of ``verify_size(..., invariants=True)``."""
     report = verifier.verify_size(table, n, budget=budget, invariants=True)
-    swept = sorted((v.invariant, v.witness, v.step) for v in report.violations)
-    reference = sorted(
+    return sorted((v.invariant, v.witness, v.step) for v in report.violations)
+
+
+def reference_violations(table, n, budget=None):
+    """The sorted (invariant, witness, step) of ``check_trajectory_invariants``
+    on every ring of n cells."""
+    return sorted(
         (v.invariant, v.witness, v.step)
         for bits in range(1 << n)
         for v in verifier.check_trajectory_invariants(
             table, lattice.Configuration(n, bits), budget
         )
     )
-    return swept, reference
 
 
 def classification(table, n, budget=None):

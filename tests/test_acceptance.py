@@ -3,7 +3,7 @@
 Criterion 4 runs the full sweep of all odd sizes up to 21; sizes 23 and
 25, and the extended checks of criterion 5 (invariant sweeps at 19 and
 21, ring and kernel properties at 21, the sweep against the reference
-checker at 11 and 13), are opt-in via PARITYCA_EXTENDED=1, and the
+checker at 11, 13 and 15), are opt-in via PARITYCA_EXTENDED=1, and the
 necklace-mode sweeps of 27, 29 and 31 via PARITYCA_EXTENDED=2.
 """
 import json
@@ -119,11 +119,10 @@ def test_criterion_5_extended_invariant_sizes():
 def test_criterion_5_extended_invariant_differential():
     started = time.time()
     ok = True
-    for rule, n in ((CORR, 11), (ORIG, 11), (ORIG, 13)):
-        swept, reference = golden.violation_triples(rule, n)
-        ok = ok and swept == reference
+    for rule, n in ((CORR, 11), (ORIG, 11), (ORIG, 13), (ORIG, 15)):
+        ok = ok and golden.swept_violations(rule, n) == golden.reference_violations(rule, n)
     report("5-differential", ok,
-           f"(sweep equals reference checker at n=11, 13, {time.time() - started:.1f}s)")
+           f"(sweep equals reference checker at n=11, 13, 15, {time.time() - started:.1f}s)")
 
 
 def test_criterion_6_counterexample_rediscovery():

@@ -160,11 +160,15 @@ PINNED_REPORTS = [
     # their cycle.
     (("--sizes", "1..17"),
      "b075af8cbad6d0d5a73f052e67c6babdfcbb8851762f9b6c63b665ff7794df69"),
+    # Two full slices that merge, with 18,411 violations between them.
+    (("--sizes", "17", "--invariants"),
+     "f645df27b362e222a76745bbc67a62a39dec9b6ebf1cf53b5e154556a1950113"),
 ]
 
 
 @pytest.mark.parametrize(
-    "args, digest", PINNED_REPORTS, ids=["invariants", "necklace", "invariants-budget", "full"]
+    "args, digest", PINNED_REPORTS,
+    ids=["invariants", "necklace", "invariants-budget", "full", "invariants-17"],
 )
 def test_verify_reports_are_pinned(capsys, args, digest):
     _, out, _ = run(capsys, "verify", "--rule", "original", *args)

@@ -155,6 +155,31 @@ def test_reports_are_deterministic_across_workers_and_chunking():
             ).to_json() == merged, f"n={n} {mode} chunk_size={chunk_size} workers={workers}"
 
 
+def test_pool_starts_no_more_processes_than_chunks(monkeypatch):
+    started = []
+
+    class Pool:
+        """Runs the chunks in this process and records the pool size asked for."""
+
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, items):
+            return map(func, items)
+
+    monkeypatch.setattr(V, "multiprocessing", type("Fake", (), {"Pool": Pool}))
+    base = V.verify_size(ORIG, 11, chunk_size=256)
+    assert V.verify_size(ORIG, 11, chunk_size=256, workers=64) == base
+    assert V.verify_size(ORIG, 11, chunk_size=256, workers=3) == base
+    assert started == [8, 3]
+
+
 def count_steps(monkeypatch):
     """The widths of the ``packed.batch_step`` calls from here on, one per call."""
     inner = P.batch_step
@@ -199,11 +224,14 @@ def test_cyclic_rows_leave_the_sweep_once_proven(monkeypatch):
 
 
 def test_rows_in_one_state_are_stepped_once(monkeypatch):
-    # Stepped one by one, the rows of n = 17 took 10.85 steps each.
+    # Stepped one by one, the rows of n = 17 took 10.85 steps each, with
+    # or without the invariant pass.
     widths = count_steps(monkeypatch)
-    report = V.verify_size(CORR, 17)
-    assert report.passed
-    assert sum(widths) <= 3 << 17
+    for invariants in (False, True):
+        widths.clear()
+        report = V.verify_size(CORR, 17, invariants=invariants)
+        assert report.passed
+        assert sum(widths) <= 3 << 17, f"invariants={invariants}"
 
 
 def test_search_counterexamples_original():
@@ -293,15 +321,29 @@ def test_two_step_decrease_is_exercised():
     assert V.check_trajectory_invariants(CORR, x) == []
 
 
-def test_sweep_and_reference_checker_report_the_same_violations():
-    # The extended acceptance suite repeats this at n = 11 and 13.
+# With a floor of 1 every slice merges, past the checkpoints too.
+MERGE_FLOORS = (V.MERGE_FLOOR, 1)
+
+
+def assert_sweep_lists_the_reference_violations(monkeypatch, table, n, budget):
+    """Compare the sweep at each merge floor with one reference run; return it."""
+    reference = golden.reference_violations(table, n, budget)
+    for floor in MERGE_FLOORS:
+        monkeypatch.setattr(V, "MERGE_FLOOR", floor)
+        assert golden.swept_violations(table, n, budget) == reference, \
+            f"{table.variant} n={n} budget={budget} floor={floor}"
+    return reference
+
+
+def test_sweep_and_reference_checker_report_the_same_violations(monkeypatch):
+    # The extended acceptance suite repeats this at n = 11, 13 and 15.
     flagged = 0
     for rule in (CORR, ORIG):
         for n in range(1, 10, 2):
             for budget in (None, 3):
-                swept, reference = golden.violation_triples(rule, n, budget)
-                assert swept == reference, f"{rule.variant} n={n} budget={budget}"
-                flagged += len(swept)
+                flagged += len(
+                    assert_sweep_lists_the_reference_violations(monkeypatch, rule, n, budget)
+                )
     # The original rule breaks the strict-decrease law from n = 7.
     assert flagged
 
@@ -322,16 +364,17 @@ FLIP_193 = broken_table(
 )
 
 
-def test_sweep_and_reference_checker_agree_on_broken_tables():
+def test_sweep_and_reference_checker_agree_on_broken_tables(monkeypatch):
     seen = set()
     for table, budgets in (
         (IDENTITY, (None, 3)), (COMPLEMENT, (3, 40)), (FLIP_193, (None, 3))
     ):
         for n in range(1, 10, 2):
             for budget in budgets:
-                swept, reference = golden.violation_triples(table, n, budget)
-                assert swept == reference, f"{table.variant} n={n} budget={budget}"
-                seen |= {invariant for invariant, _, _ in swept}
+                reference = assert_sweep_lists_the_reference_violations(
+                    monkeypatch, table, n, budget
+                )
+                seen |= {invariant for invariant, _, _ in reference}
     assert seen == {
         V.PARITY_CONSERVED, V.SWITCH_MONOTONE, V.SWITCH_STRICT,
         V.TWO_STEP_DECREASE, V.FIXED_POINT,
@@ -351,14 +394,23 @@ def swept_classification(table, n, budget):
     ), report
 
 
+def random_table(seed):
+    rng = random.Random(seed)
+    return RuleTable(f"random-{seed}", bytes(rng.getrandbits(1) for _ in range(TABLE_SIZE)))
+
+
 # Seeds of random 512-bit rule tables. Table 63 has rings of 9 cells that
 # reach a non-homogeneous fixed point at step 16 or 17, just at the
 # checkpoint 16, where a cycle test one step too early would fire.
 RANDOM_SEEDS = (2, 3, 63)
 
 
-# With a floor of 1 every slice merges, past the checkpoints too.
-MERGE_FLOORS = (V.MERGE_FLOOR, 1)
+def test_sweep_and_reference_checker_agree_on_random_tables(monkeypatch):
+    # Of the tables above, only these two catch, at n = 9 with a floor of
+    # 1, a merge that forgets whether the two-step law is pending.
+    for seed in (2, 63):
+        for n in range(1, 10, 2):
+            assert_sweep_lists_the_reference_violations(monkeypatch, random_table(seed), n, 40)
 
 
 def test_sweep_classification_agrees_with_the_reference_classifier(monkeypatch):
@@ -392,10 +444,7 @@ def test_sweep_classification_agrees_on_random_tables(monkeypatch):
     # budget without a recurrence.
     periods, exhausted = set(), 0
     for seed in RANDOM_SEEDS:
-        rng = random.Random(seed)
-        table = RuleTable(
-            f"random-{seed}", bytes(rng.getrandbits(1) for _ in range(TABLE_SIZE))
-        )
+        table = random_table(seed)
         for n in range(1, 10, 2):
             for budget in (40, 100):
                 expected = golden.classification(table, n, budget)
