@@ -241,15 +241,22 @@ def _sweep_rows(
     after, it is the fixed-point test, and a fixed point is wrong, not
     non-converged.
 
+    Merges and checkpoints share one schedule, the powers of two: a
+    merge at every one while enough states are live, a checkpoint at
+    every one from n on.
+
     With the invariant pass no cycle is proven: the laws are checked at
     every step the reference checker reaches, up to the budget. Beyond
     its state, a row carries two bits that later violations depend on:
     the parity of its start, and whether the two-step law is pending
-    (then the pending count is the switch count of its state). So rows
-    merge only if they agree in state and in both bits, which sit above
-    the state in the key (n + 2 + bit_length(rows - 1) ≤ 64). A violation
-    is recorded once for its group and step; at the end it goes to every
-    row that had joined the group by that step, latest merge first.
+    (then the pending count is the switch count of its state, so one bit
+    holds it). So rows merge only if they agree in state and in both
+    bits, which sit above the state in the key
+    (n + 2 + bit_length(rows - 1) ≤ 64). A violation is recorded once for
+    its group and step, with the number of merges before that step. At
+    the end it is listed through the owner map of that many merges, which
+    names each row's group after them: it holds for every row whose
+    owner broke the law.
     """
     lut = packed.lut64(rule)
     all_ones = packed.mask_of(n)
@@ -259,7 +266,8 @@ def _sweep_rows(
     # Each live state x[i] belongs to the group group[i]. A group's last
     # state and step go to final and t0; t0 stays -1 for a group that
     # never finishes, proven cyclic or live at the budget. With the
-    # invariant pass, carry holds the rows' par, s, drop, d78b and pend.
+    # invariant pass, carry holds the rows' par, s, drop, d78b and pend,
+    # all but s one bit each.
     x = start
     group = np.arange(size)
     carry = ()
@@ -268,8 +276,7 @@ def _sweep_rows(
     # A merge sorts keys that hold a tag (the state, and with the
     # invariant pass the two bits above it) above the row's position.
     key_bits = max(size - 1, 1).bit_length()
-    tag_bits = n + 2 if invariants else n
-    merging = tag_bits + key_bits <= 64
+    merging = n + 2 * invariants + key_bits <= 64
     merges = []
 
     def take(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -278,8 +285,8 @@ def _sweep_rows(
     def merge(tag: np.ndarray) -> np.ndarray:
         """The position of the first holder of each distinct tag.
 
-        Records, with the step, the holders' groups in tag order and the
-        start of each tag's run: every group joins the first of its run.
+        Records the holders' groups in tag order and the start of each
+        tag's run: every group joins the first of its run.
         """
         key = tag << np.uint64(key_bits)
         key |= np.arange(tag.size, dtype=np.uint64)
@@ -287,15 +294,12 @@ def _sweep_rows(
         pos = (key & np.uint64((1 << key_bits) - 1)).view(np.int64)
         key >>= np.uint64(key_bits)
         heads = np.concatenate(([0], np.flatnonzero(key[1:] != key[:-1]) + 1))
-        merges.append((t, group[pos], heads))
+        merges.append((group[pos], heads))
         return pos[heads]
 
-    # The first checkpoint comes late, so the cycle test stays off the wide
-    # early steps, where nearly every row still converges. With the
-    # invariant pass it lies past the budget: no cycle is proven.
-    checkpoint = budget + 1 if invariants else 1 << (n - 1).bit_length()
     saved = cycled = None
-    # Each entry of flagged is a (law, step, groups) that broke the law then.
+    # Each entry of flagged is a (law, step, groups, merges before the
+    # step) of the groups that broke the law then.
     flagged = []
     if invariants:
         tables = packed.invariant_tables(rule)
@@ -307,12 +311,12 @@ def _sweep_rows(
 
         def record(invariant: str, rows: np.ndarray, step: int) -> None:
             if rows.any():
-                flagged.append((invariant, step, group[rows]))
+                flagged.append((invariant, step, group[rows], len(merges)))
 
-        carry = (packed.parity_bits(start), *laws(x), np.full(size, -1, dtype=np.int64))
+        carry = (packed.parity_bits(start), *laws(x), np.zeros(size, dtype=bool))
 
     # A homogeneous state is its own target, so such rows finish correct at t0 = 0.
-    done, t, merge_step = (x == 0) | (x == all_ones), 0, 1
+    done, t = (x == 0) | (x == all_ones), 0
     while True:
         finished = np.flatnonzero(done)
         if finished.size:
@@ -322,15 +326,13 @@ def _sweep_rows(
             x, group, carry = take(np.flatnonzero(~done))
         if x.size == 0 or t >= budget:
             break
-        if t == merge_step:
-            merge_step *= 2
-            if merging and x.size >= MERGE_FLOOR:
-                tag = x
-                if invariants:
-                    par, _, _, _, pend = carry
-                    tag = x | par.astype(np.uint64) << np.uint64(n)
-                    tag |= (pend >= 0).astype(np.uint64) << np.uint64(n + 1)
-                x, group, carry = take(merge(tag))
+        power = t > 0 and t & (t - 1) == 0
+        if power and merging and x.size >= MERGE_FLOOR:
+            tag = x
+            if invariants:
+                par, _, _, _, pend = carry
+                tag = x | (par + 2 * pend).astype(np.uint64) << np.uint64(n)
+            x, group, carry = take(merge(tag))
         y = packed.batch_step(lut, x, n)
         if invariants:
             par, s, drop, d78b, pend = carry
@@ -338,26 +340,34 @@ def _sweep_rows(
             record(PARITY_CONSERVED, packed.parity_bits(y) != par, t)
             record(SWITCH_MONOTONE, s_y > s, t)
             record(SWITCH_STRICT, drop & ~(s_y < s), t)
-            record(TWO_STEP_DECREASE, (pend >= 0) & ~(s_y < pend), t)
+            record(TWO_STEP_DECREASE, pend & ~(s_y < s), t)
             record(FIXED_POINT, y == x, t)
-            carry = par, s_y, drop_y, d78b_y, np.where(d78b & ~(s_y < s), s_y, -1)
+            carry = par, s_y, drop_y, d78b_y, d78b & ~(s_y < s)
         done = (y == 0) | (y == all_ones) | (y == x)
         if saved is not None:
             cycled = y == saved[group]
             done |= cycled
-        if t == checkpoint:
-            if saved is None:
-                saved = np.empty_like(start)
-            saved[group], checkpoint = x, 2 * checkpoint
+        # The first checkpoint comes late, so the cycle test stays off the
+        # wide early steps, where nearly every row still converges.
+        if power and t >= n and not invariants:
+            saved = np.empty_like(start) if saved is None else saved
+            saved[group] = x
         x = y
         t += 1
 
     # Rows take the outcome of the group they joined, latest merge first.
-    for _, members, heads in reversed(merges):
-        joined = np.repeat(members[heads], np.diff(heads, append=members.size))
+    for members, heads in reversed(merges):
+        joined = _joined(members, heads)
         final[members], t0[members] = final[joined], t0[joined]
     if flagged:
-        tally.violations = _listed_violations(flagged, merges, start)
+        # owners[k] is each row's group after the first k merges.
+        owners, join = [np.arange(size)], np.arange(size)
+        for members, heads in merges:
+            join[members] = _joined(members, heads)
+            owners.append(join[owners[-1]])
+        for invariant, step, groups, k in flagged:
+            rows = start[np.isin(owners[k], groups)].tolist()
+            tally.violations += [(invariant, w, step) for w in rows]
     target = np.where(packed.parity_bits(start) == 1, all_ones, np.uint64(0))
     never = t0 < 0
     right = ~never & (final == target)
@@ -371,34 +381,9 @@ def _sweep_rows(
     return tally
 
 
-def _listed_violations(
-    flagged: list[tuple[str, int, np.ndarray]], merges: list, start: np.ndarray
-) -> list[tuple[str, int, int]]:
-    """The (law, start, step) of every row in each group that broke a law.
-
-    Each entry of ``flagged`` names a law, a step and the groups that broke
-    the law then. A violation of a group at step t holds for every row
-    that had joined the group by then. So the merges are undone latest
-    first, and each hands the violations at or after its step to every
-    group of the run it merged.
-    """
-    entry = np.repeat(np.arange(len(flagged)), [groups.size for _, _, groups in flagged])
-    holder = np.concatenate([groups for _, _, groups in flagged])
-    entry_step = np.array([step for _, step, _ in flagged])
-    runs = np.empty(start.size, dtype=np.int64)
-    for step, members, heads in reversed(merges):
-        later = entry_step[entry] >= step
-        runs[members[heads]] = np.arange(heads.size)
-        run = runs[holder[later]]
-        width = np.diff(heads, append=members.size)[run]
-        spread = np.repeat(heads[run] - np.cumsum(width) + width, width)
-        spread += np.arange(spread.size)
-        entry = np.concatenate((entry[~later], np.repeat(entry[later], width)))
-        holder = np.concatenate((holder[~later], members[spread]))
-    return [
-        (flagged[e][0], w, flagged[e][1])
-        for e, w in zip(entry.tolist(), start[holder].tolist())
-    ]
+def _joined(members: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """The group each of a merge's members joined: the first of its run."""
+    return np.repeat(members[heads], np.diff(heads, append=members.size))
 
 
 def verify_size(
@@ -458,6 +443,8 @@ def search_counterexamples(
     workers: int = 1,
 ) -> list[tuple[int, Configuration, Outcome]]:
     """Scan sizes 1, 3, ..., n_max for misclassified configurations."""
+    if n_max < 1:
+        raise ValueError(f"size must be at least 1, got {n_max}")
     if n_max > packed.MAX_N:
         raise ValueError(f"size must be at most {packed.MAX_N}, got {n_max}")
     reports = (verify_size(rule, n, budget=budget, mode=mode, workers=workers)

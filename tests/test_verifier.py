@@ -45,6 +45,17 @@ def test_search_past_the_kernel_width_is_rejected_before_sweeping(monkeypatch):
         V.search_counterexamples(CORR, 65)
 
 
+def test_search_below_size_one_is_rejected_before_sweeping(monkeypatch):
+    # An empty range of sizes would otherwise pass as "nothing found".
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept a size before checking the limit")
+
+    monkeypatch.setattr(V, "verify_size", no_sweep)
+    for n_max in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            V.search_counterexamples(CORR, n_max)
+
+
 def test_budget_below_one_is_rejected_before_sweeping(monkeypatch):
     # Swept first, n = 31 would list 2^31 rings before the first replay failed.
     def no_sweep(*args):
@@ -411,6 +422,20 @@ def test_sweep_and_reference_checker_agree_on_random_tables(monkeypatch):
     for seed in (2, 63):
         for n in range(1, 10, 2):
             assert_sweep_lists_the_reference_violations(monkeypatch, random_table(seed), n, 40)
+
+
+def test_merged_sweep_lists_the_original_rules_violations():
+    # The 8,192 and 32,768 rings of n = 13 and 15 each fill one slice above
+    # the default merge floor, so violations are listed through merges.
+    assert 1 << 13 >= V.MERGE_FLOOR
+    for n, count in ((13, 845), (15, 3990)):
+        report = V.verify_size(ORIG, n, invariants=True)
+        laws = [v.invariant for v in report.violations]
+        assert {law: laws.count(law) for law in set(laws)} == {V.SWITCH_STRICT: count}
+        for v in report.violations[::40]:
+            reference = V.check_trajectory_invariants(ORIG, L.parse(v.witness))
+            assert (v.invariant, v.step) in {(r.invariant, r.step) for r in reference}, \
+                f"n={n} {v.witness}"
 
 
 def test_sweep_classification_agrees_with_the_reference_classifier(monkeypatch):
