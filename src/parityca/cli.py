@@ -51,6 +51,8 @@ def _sizes(text: str) -> list[int]:
                 raise too_large
             if lo < 1:
                 raise not_positive
+            if lo > hi:
+                raise argparse.ArgumentTypeError(f"empty size range: {text!r}")
             sizes = [n for n in range(lo, hi + 1) if n % 2 == 1]
         else:
             sizes = [int(part) for part in text.split(",")]

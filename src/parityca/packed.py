@@ -17,10 +17,11 @@ planes over 17-cell windows that the mask functions (``switch_gaps``,
 
 ``necklaces`` lists the least rotation of every class in a range of
 encodings without building the range. It walks the prenecklace tree,
-whose nodes number a small multiple of the necklaces (1.6 M nodes for
-the 364,724 necklaces of n = 23), where filtering compares each of the
-2^n encodings with its n - 1 rotations. ``necklace_mask`` stays as the
-plain reference oracle for it.
+whose nodes number a small multiple of the necklaces (1.2 M nodes for
+the 364,724 necklaces of n = 23, whose last level holds only the
+necklaces), where filtering compares each of the 2^n encodings with its
+n - 1 rotations. ``necklace_mask`` stays as the plain reference oracle
+for it.
 """
 from __future__ import annotations
 
@@ -241,22 +242,38 @@ def necklaces(n: int, lo: int, hi: int) -> np.ndarray:
     bits with the first bit highest; its children append the bit p
     places back, keeping p, and where that bit is 0 also a 1, which
     makes the word a Lyndon word of period t + 1. Nodes whose
-    completions all miss [lo, hi) are dropped.
+    completions all miss [lo, hi) are dropped. That test runs only at the
+    depths where a parent can straddle lo or hi: once both are multiples
+    of the width a parent spans, every parent left lies inside. The last
+    level keeps a child of period p only where p divides n, and the
+    children that start a period of n, so it holds only the necklaces.
+    A range with no encoding below 2^n gives an empty array.
     """
+    hi = min(hi, 1 << n)
+    if lo >= hi:
+        return np.zeros(0, dtype=_U)
+    # The parents of depth n - 1 - r span 2^(r + 1) encodings, so for r
+    # below the lowest set bit of lo | hi none of them straddles a bound.
+    aligned = ((lo | hi) & -(lo | hi)).bit_length() - 1
     w = np.zeros(1, dtype=_U)
     p = np.ones(1, dtype=_U)
-    lo, hi = _U(lo), _U(hi)
     for t in range(n):
+        r = n - t - 1
         ref = (w >> (p - _U(1))) & _U(1)
         fork = ref == 0
-        w = np.concatenate((w << _U(1) | ref, w[fork] << _U(1) | _U(1)))
-        p = np.concatenate((p, np.full(int(fork.sum()), t + 1, dtype=_U)))
-        r = _U(n - t - 1)
-        hit = ((w + _U(1)) << r > lo) & (w << r < hi)
-        w, p = w[hit], p[hit]
-        if w.size == 0:
-            break
-    w = w[_U(n) % p == 0]
+        if r:
+            w = np.concatenate((w << _U(1) | ref, w[fork] << _U(1) | _U(1)))
+            p = np.concatenate((p, np.full(int(fork.sum()), t + 1, dtype=_U)))
+        else:
+            keep = _U(n) % p == 0
+            w = np.concatenate((w[keep] << _U(1) | ref[keep], w[fork] << _U(1) | _U(1)))
+        if r >= aligned:
+            hit = ((w + _U(1)) << _U(r) > _U(lo)) & (w << _U(r) < _U(hi))
+            w = w[hit]
+            if r:
+                p = p[hit]
+            if w.size == 0:
+                break
     w.sort()
     return w
 

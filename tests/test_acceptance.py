@@ -3,8 +3,9 @@
 Criterion 4 runs the full sweep of all odd sizes up to 21; sizes 23 and
 25, and the extended checks of criterion 5 (invariant sweeps at 19 and
 21, ring and kernel properties at 21, the sweep against the reference
-checker at 11, 13 and 15), are opt-in via PARITYCA_EXTENDED=1, and the
-necklace-mode sweeps of 27, 29 and 31 via PARITYCA_EXTENDED=2.
+checker at 11, 13 and 15), are opt-in via PARITYCA_EXTENDED=1, the
+necklace-mode sweeps of 27, 29 and 31 via PARITYCA_EXTENDED=2, and those
+of 33 and 35, for both rules, via PARITYCA_EXTENDED=3.
 """
 import json
 import os
@@ -91,6 +92,23 @@ def test_criterion_4_necklace_sizes():
         rep = V.verify_size(CORR, n, mode="necklace", workers=8)
         ok = ok and rep.passed and rep.correct == rep.checked == classes
     report("4-necklace", ok)
+
+
+@pytest.mark.skipif(EXTENDED < 3, reason="set PARITYCA_EXTENDED=3 for necklace 33/35")
+def test_criterion_4_frontier_necklace_sizes():
+    ok = True
+    details = []
+    for n, classes in ((33, 260_301_176), (35, 981_706_832)):
+        for rule in (CORR, ORIG):
+            started = time.time()
+            rep = V.verify_size(rule, n, mode="necklace", workers=8)
+            ok = ok and rep.checked == classes
+            if rule is CORR:
+                ok = ok and rep.passed and rep.correct == classes
+            details.append(f"{rep.rule} n={n}: {len(rep.wrong_class)} wrong, "
+                           f"{len(rep.non_converged)} non-converged, "
+                           f"t0<={rep.max_t0.steps}, {time.time() - started:.0f}s")
+    report("4-frontier", ok, f"({'; '.join(details)})")
 
 
 def test_criterion_5_invariant_suite_to_17():

@@ -212,6 +212,14 @@ def test_bad_sizes_exit_two(capsys):
         capsys.readouterr()
 
 
+def test_reversed_size_range_exits_two_as_empty(capsys):
+    for bad in ("5..3", "3..1"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--sizes", bad])
+        assert exc.value.code == 2
+        assert f"empty size range: {bad!r}" in capsys.readouterr().err
+
+
 def test_sizes_below_one_exit_two_before_the_range_is_listed(capsys, monkeypatch):
     # Listed first, -10000000000..5 would take about 180 GB.
     def no_range(*args):

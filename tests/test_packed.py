@@ -1,4 +1,6 @@
 """The numpy kernels must agree with the pure-Python reference everywhere."""
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from parityca import engine as E
 from parityca import lattice as L
 from parityca import metrics as M
 from parityca import packed as P
+from parityca import verifier as V
 from parityca.rule import CORRECTED, ORIGINAL, build_rule_table
 from golden import check_ring_and_kernel_properties, concat_power, necklace_count
 
@@ -274,6 +277,48 @@ def test_necklaces_over_the_full_range_are_counted_and_ascending(n):
     assert reps.dtype == np.uint64
     assert reps.size == necklace_count(n)
     assert (np.diff(reps.astype(np.int64)) > 0).all()
+
+
+def test_necklaces_match_the_oracle_on_aligned_ranges():
+    # lo | hi with k trailing zeros tests the bounds only at the depths whose
+    # parents span more than 2^k encodings, so every k exercises one split.
+    rng = random.Random(16)
+    for n in range(1, 16, 2):
+        reps = necklace_oracle(n, 0, 1 << n)
+        for k in range(n + 1):
+            odd = range(1, max(1 << (n - k), 2), 2)
+            ranges = [(0, rng.choice(odd) << k)]
+            for _ in range(6):
+                lo = rng.choice(odd) << k
+                ranges.append((lo, lo + (rng.randrange(0, 4) << k)))
+            for lo, hi in ranges:
+                expected = reps[(reps >= lo) & (reps < hi)]
+                assert np.array_equal(P.necklaces(n, lo, hi), expected), (n, lo, hi)
+
+
+@pytest.mark.parametrize("n", range(1, 16, 2))
+def test_necklaces_of_empty_reversed_and_overhanging_ranges(n):
+    top, half = 1 << n, 1 << (n - 1)
+    empty = [(0, 0), (half, half), (top, top), (1, 0), (top, half), (top - 1, 1),
+             (top, top + 5), (top + 3, 2 * top), (2 * top, top)]
+    for lo, hi in empty:
+        reps = P.necklaces(n, lo, hi)
+        assert reps.dtype == np.uint64 and reps.size == 0, (lo, hi)
+    for lo, hi in ((0, top + 1), (half, 2 * top), (3, 1 << 62)):
+        assert np.array_equal(P.necklaces(n, lo, hi), necklace_oracle(n, lo, top)), (lo, hi)
+
+
+@pytest.mark.parametrize("n", (23, 25))
+def test_necklaces_over_the_sweep_chunks_are_counted_and_in_range(n):
+    total = 0
+    for lo in V.plan_sweep(n, mode=V.NECKLACE):
+        hi = min(lo + V.NECKLACE_CHUNK, 1 << n)
+        reps = P.necklaces(n, lo, hi)
+        assert reps.dtype == np.uint64
+        assert (np.diff(reps.astype(np.int64)) > 0).all()
+        assert reps.size == 0 or (int(reps[0]) >= lo and int(reps[-1]) < hi)
+        total += reps.size
+    assert total == necklace_count(n)
 
 
 # Windows whose start has at least `zeros` leading zero bits: necklaces are
