@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"worker processes (default: ${WORKERS_ENV}, else 1)")
     p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--invariants", action="store_true",
-                   help="also check the structural laws along every trajectory")
+                   help="also check the five step laws on every configuration")
 
     p = sub.add_parser("rule", help="inspect a rule table")
     p.add_argument("--variant", choices=VARIANTS, default=CORRECTED)

@@ -7,11 +7,12 @@ non-homogeneous fixed point) or non-converged. A non-converged
 configuration was either proven cyclic, by Brent's cycle detection in
 the sweep, or still live when the step budget ran out; either way its
 reported outcome is the replay of ``engine.evolve``. With
-``invariants=True`` it additionally checks, along every trajectory, the
-five step laws that ``check_trajectory_invariants`` checks one ring at a
-time. Work is partitioned into packed-integer chunks that workers
-process independently; their tallies fold, in chunk order, into a report
-that is identical for any worker count and chunk size.
+``invariants=True`` it additionally checks, on every configuration it
+sweeps, the five step laws that ``check_trajectory_invariants`` checks
+along one trajectory (see ``_broken_laws``). Work is partitioned into
+packed-integer chunks that workers process independently; their tallies
+fold, in chunk order, into a report that is identical for any worker
+count and chunk size.
 
 A chunk is a range of encodings. Full mode steps every encoding, so its
 default chunk is ``DEFAULT_CHUNK`` = 2^16 encodings wide. Necklace mode
@@ -27,11 +28,9 @@ The rule contracts hard: of the live states of a 2^16-ring slice at
 n = 19, about 30% are distinct after one step and under 4% after six. So
 a slice merges the rows that are in one state at one step and steps
 each distinct state once, while enough states are live and the sort key
-fits in 64 bits (see ``_sweep_rows``). With the invariant pass, rows
-merge only if they also agree in the two bits of their history that the
-laws still read. A full sweep at n = 19 steps 2.3 states per checked
-ring, and one with the invariant pass 2.4, where stepping each row on
-its own would take 12.4.
+fits in 64 bits (see ``_sweep_rows``). A full sweep at n = 19 steps 2.3
+states per checked ring, where stepping each row on its own would take
+12.4.
 """
 from __future__ import annotations
 
@@ -206,9 +205,11 @@ def _sweep_rows(
     """Evolve and classify the ascending packed configurations ``start``.
 
     Only live trajectories are stepped: a state leaves the arrays as soon
-    as it reaches a homogeneous state or a fixed point, or, without the
-    invariant pass, as soon as it is proven cyclic. Each step builds one
-    mask of the states that finished and records only those few.
+    as it reaches a homogeneous state or a fixed point, or as soon as it
+    is proven cyclic. Each step builds one mask of the states that
+    finished and records only those few. With ``invariants``, the step
+    laws are checked on the first step, where the live states are exactly
+    the non-homogeneous starts (see ``_broken_laws``).
 
     Rows in one state at one step share every later state, since the
     rule is a function: they finish at the same step in the same state,
@@ -244,52 +245,35 @@ def _sweep_rows(
     Merges and checkpoints share one schedule, the powers of two: a
     merge at every one while enough states are live, a checkpoint at
     every one from n on.
-
-    With the invariant pass no cycle is proven: the laws are checked at
-    every step the reference checker reaches, up to the budget. Beyond
-    its state, a row carries two bits that later violations depend on:
-    the parity of its start, and whether the two-step law is pending
-    (then the pending count is the switch count of its state, so one bit
-    holds it). So rows merge only if they agree in state and in both
-    bits, which sit above the state in the key
-    (n + 2 + bit_length(rows - 1) ≤ 64). A violation is recorded once for
-    its group and step, with the number of merges before that step. At
-    the end it is listed through the owner map of that many merges, which
-    names each row's group after them: it holds for every row whose
-    owner broke the law.
     """
     lut = packed.lut64(rule)
+    # Built before the sweep's arrays, so that the temporaries of its
+    # first build do not add to them at the peak.
+    tables = packed.invariant_tables(rule) if invariants else None
     all_ones = packed.mask_of(n)
     size = start.size
     tally = _Tally(checked=int(size))
 
     # Each live state x[i] belongs to the group group[i]. A group's last
     # state and step go to final and t0; t0 stays -1 for a group that
-    # never finishes, proven cyclic or live at the budget. With the
-    # invariant pass, carry holds the rows' par, s, drop, d78b and pend,
-    # all but s one bit each.
+    # never finishes, proven cyclic or live at the budget.
     x = start
     group = np.arange(size)
-    carry = ()
     final = np.zeros(size, dtype=np.uint64)
     t0 = np.full(size, -1, dtype=np.int64)
-    # A merge sorts keys that hold a tag (the state, and with the
-    # invariant pass the two bits above it) above the row's position.
+    # A merge sorts keys that hold the state above the row's position.
     key_bits = max(size - 1, 1).bit_length()
-    merging = n + 2 * invariants + key_bits <= 64
+    merging = n + key_bits <= 64
     merges = []
 
-    def take(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-        return x[rows], group[rows], tuple(a[rows] for a in carry)
+    def merge(states: np.ndarray) -> np.ndarray:
+        """The position of the first holder of each distinct state.
 
-    def merge(tag: np.ndarray) -> np.ndarray:
-        """The position of the first holder of each distinct tag.
-
-        Records the holders' groups in tag order and the start of each
-        tag's run: every group joins the first of its run.
+        Records the holders' groups in state order and the start of each
+        state's run: every group joins the first of its run.
         """
-        key = tag << np.uint64(key_bits)
-        key |= np.arange(tag.size, dtype=np.uint64)
+        key = states << np.uint64(key_bits)
+        key |= np.arange(states.size, dtype=np.uint64)
         key.sort()
         pos = (key & np.uint64((1 << key_bits) - 1)).view(np.int64)
         key >>= np.uint64(key_bits)
@@ -298,23 +282,6 @@ def _sweep_rows(
         return pos[heads]
 
     saved = cycled = None
-    # Each entry of flagged is a (law, step, groups, merges before the
-    # step) of the groups that broke the law then.
-    flagged = []
-    if invariants:
-        tables = packed.invariant_tables(rule)
-
-        def laws(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            """s, and whether s must drop or D78b is present, in one gather."""
-            switch, drop, d78b = packed.window_gather(tables, v, n)
-            return np.bitwise_count(switch).astype(np.int64), drop != 0, d78b != 0
-
-        def record(invariant: str, rows: np.ndarray, step: int) -> None:
-            if rows.any():
-                flagged.append((invariant, step, group[rows], len(merges)))
-
-        carry = (packed.parity_bits(start), *laws(x), np.zeros(size, dtype=bool))
-
     # A homogeneous state is its own target, so such rows finish correct at t0 = 0.
     done, t = (x == 0) | (x == all_ones), 0
     while True:
@@ -323,33 +290,24 @@ def _sweep_rows(
             ended = group[finished]
             final[ended] = x[finished]
             t0[ended] = t if cycled is None else np.where(cycled[finished], -1, t)
-            x, group, carry = take(np.flatnonzero(~done))
+            live = np.flatnonzero(~done)
+            x, group = x[live], group[live]
         if x.size == 0 or t >= budget:
             break
         power = t > 0 and t & (t - 1) == 0
         if power and merging and x.size >= MERGE_FLOOR:
-            tag = x
-            if invariants:
-                par, _, _, _, pend = carry
-                tag = x | (par + 2 * pend).astype(np.uint64) << np.uint64(n)
-            x, group, carry = take(merge(tag))
+            first = merge(x)
+            x, group = x[first], group[first]
         y = packed.batch_step(lut, x, n)
-        if invariants:
-            par, s, drop, d78b, pend = carry
-            s_y, drop_y, d78b_y = laws(y)
-            record(PARITY_CONSERVED, packed.parity_bits(y) != par, t)
-            record(SWITCH_MONOTONE, s_y > s, t)
-            record(SWITCH_STRICT, drop & ~(s_y < s), t)
-            record(TWO_STEP_DECREASE, pend & ~(s_y < s), t)
-            record(FIXED_POINT, y == x, t)
-            carry = par, s_y, drop_y, d78b_y, d78b & ~(s_y < s)
+        if invariants and t == 0:
+            tally.violations = _broken_laws(tables, lut, n, x, y)
         done = (y == 0) | (y == all_ones) | (y == x)
         if saved is not None:
             cycled = y == saved[group]
             done |= cycled
         # The first checkpoint comes late, so the cycle test stays off the
         # wide early steps, where nearly every row still converges.
-        if power and t >= n and not invariants:
+        if power and t >= n:
             saved = np.empty_like(start) if saved is None else saved
             saved[group] = x
         x = y
@@ -359,15 +317,6 @@ def _sweep_rows(
     for members, heads in reversed(merges):
         joined = _joined(members, heads)
         final[members], t0[members] = final[joined], t0[joined]
-    if flagged:
-        # owners[k] is each row's group after the first k merges.
-        owners, join = [np.arange(size)], np.arange(size)
-        for members, heads in merges:
-            join[members] = _joined(members, heads)
-            owners.append(join[owners[-1]])
-        for invariant, step, groups, k in flagged:
-            rows = start[np.isin(owners[k], groups)].tolist()
-            tally.violations += [(invariant, w, step) for w in rows]
     target = np.where(packed.parity_bits(start) == 1, all_ones, np.uint64(0))
     never = t0 < 0
     right = ~never & (final == target)
@@ -379,6 +328,48 @@ def _sweep_rows(
     tally.wrong = start[~never & ~right].tolist()
     tally.nonconv = start[never].tolist()
     return tally
+
+
+def _broken_laws(
+    tables: np.ndarray, lut: np.ndarray, n: int, x: np.ndarray, y: np.ndarray
+) -> list[tuple[str, int, int]]:
+    """The (law, configuration, step) of each step law a configuration breaks.
+
+    ``x`` holds non-homogeneous configurations and ``y`` their steps
+    under the rule of ``lut`` and ``tables`` (``packed.invariant_tables``).
+    Each law reads only a configuration x, its step y and, for the
+    two-step law, the next step z. Every state that a trajectory visits
+    is also a configuration of the sweep, so checking x -> y -> z once
+    per configuration finds every state at which a trajectory breaks a
+    law, and lists each (law, configuration) once. The parity law
+    compares x with y, where the reference checker compares every state
+    with the start: both fail first at the same state, so a trajectory
+    passes or fails alike. The step of an entry is the step at which
+    ``check_trajectory_invariants`` reports it on x: 0, or 1 for the
+    two-step law. z is stepped only where that law is pending: D78b is
+    present in x, s did not drop, and x is not a fixed point, at which
+    the reference checker stops. No law reads the step budget. The laws
+    are invariant under rotation, so in necklace mode the violating
+    class representatives are listed.
+    """
+    switch, drop, d78b = packed.window_gather(tables, x, n)
+    s_x = np.bitwise_count(switch)
+    s_y = np.bitwise_count(packed.window_gather(tables[0], y, n))
+    held = s_y >= s_x
+    fixed = y == x
+    pending = np.flatnonzero((d78b != 0) & held & ~fixed)
+    z = packed.batch_step(lut, y[pending], n)
+    s_z = np.bitwise_count(packed.window_gather(tables[0], z, n))
+    violations = []
+    for law, rows, step in (
+        (PARITY_CONSERVED, packed.parity_bits(y) != packed.parity_bits(x), 0),
+        (SWITCH_MONOTONE, s_y > s_x, 0),
+        (SWITCH_STRICT, (drop != 0) & held, 0),
+        (TWO_STEP_DECREASE, pending[s_z >= s_y[pending]], 1),
+        (FIXED_POINT, fixed, 0),
+    ):
+        violations += [(law, w, step) for w in x[rows].tolist()]
+    return violations
 
 
 def _joined(members: np.ndarray, heads: np.ndarray) -> np.ndarray:

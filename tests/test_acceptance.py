@@ -2,10 +2,11 @@
 
 Criterion 4 runs the full sweep of all odd sizes up to 21; sizes 23 and
 25, and the extended checks of criterion 5 (invariant sweeps at 19 and
-21, ring and kernel properties at 21, the sweep against the reference
-checker at 11, 13 and 15), are opt-in via PARITYCA_EXTENDED=1, the
-necklace-mode sweeps of 27, 29 and 31 via PARITYCA_EXTENDED=2, and those
-of 33 and 35, for both rules, via PARITYCA_EXTENDED=3.
+21, ring and kernel properties at 21, the law check against the
+reference checker at 11, 13 and 15), are opt-in via
+PARITYCA_EXTENDED=1, the necklace-mode sweeps of 27, 29 and 31 via
+PARITYCA_EXTENDED=2, and those of 33 and 35, for both rules, via
+PARITYCA_EXTENDED=3.
 """
 import json
 import os
@@ -140,7 +141,8 @@ def test_criterion_5_extended_invariant_differential():
     for rule, n in ((CORR, 11), (ORIG, 11), (ORIG, 13), (ORIG, 15)):
         ok = ok and golden.swept_violations(rule, n) == golden.reference_violations(rule, n)
     report("5-differential", ok,
-           f"(sweep equals reference checker at n=11, 13, 15, {time.time() - started:.1f}s)")
+           f"(law check equals reference checker at n=11, 13, 15, "
+           f"{time.time() - started:.1f}s)")
 
 
 def test_criterion_6_counterexample_rediscovery():

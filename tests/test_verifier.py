@@ -224,6 +224,11 @@ def test_cyclic_rows_leave_the_sweep_once_proven(monkeypatch):
     report = V.verify_size(ORIG, 13, mode="necklace")
     assert len(report.non_converged) == 1
     assert len(calls) <= 29
+    # The law check proves it too, with one more call for its second steps.
+    calls.clear()
+    assert V.verify_size(ORIG, 13, mode="necklace", invariants=True).non_converged \
+        == report.non_converged
+    assert len(calls) <= 30
     # Its triple lift is caught at 64 + 13 steps instead of 4 * 39^2 = 6,084.
     calls.clear()
     lift = golden.concat_power(L.parse(golden.FAULTY), 3)
@@ -235,8 +240,9 @@ def test_cyclic_rows_leave_the_sweep_once_proven(monkeypatch):
 
 
 def test_rows_in_one_state_are_stepped_once(monkeypatch):
-    # Stepped one by one, the rows of n = 17 took 10.85 steps each, with
-    # or without the invariant pass.
+    # Stepped one by one, the rows of n = 17 took 10.85 steps each. The
+    # law check adds the second steps of the 5,525 rows whose two-step
+    # law is pending.
     widths = count_steps(monkeypatch)
     for invariants in (False, True):
         widths.clear()
@@ -332,29 +338,25 @@ def test_two_step_decrease_is_exercised():
     assert V.check_trajectory_invariants(CORR, x) == []
 
 
-# With a floor of 1 every slice merges, past the checkpoints too.
-MERGE_FLOORS = (V.MERGE_FLOOR, 1)
+def assert_check_lists_the_reference_violations(table, n, budgets):
+    """Compare the sweep at each budget with one reference run; return it.
 
-
-def assert_sweep_lists_the_reference_violations(monkeypatch, table, n, budget):
-    """Compare the sweep at each merge floor with one reference run; return it."""
-    reference = golden.reference_violations(table, n, budget)
-    for floor in MERGE_FLOORS:
-        monkeypatch.setattr(V, "MERGE_FLOOR", floor)
+    The law list does not read the budget, so every budget must list the
+    same violations.
+    """
+    reference = golden.reference_violations(table, n)
+    for budget in budgets:
         assert golden.swept_violations(table, n, budget) == reference, \
-            f"{table.variant} n={n} budget={budget} floor={floor}"
+            f"{table.variant} n={n} budget={budget}"
     return reference
 
 
-def test_sweep_and_reference_checker_report_the_same_violations(monkeypatch):
+def test_sweep_and_reference_checker_report_the_same_violations():
     # The extended acceptance suite repeats this at n = 11, 13 and 15.
     flagged = 0
     for rule in (CORR, ORIG):
         for n in range(1, 10, 2):
-            for budget in (None, 3):
-                flagged += len(
-                    assert_sweep_lists_the_reference_violations(monkeypatch, rule, n, budget)
-                )
+            flagged += len(assert_check_lists_the_reference_violations(rule, n, (None, 3)))
     # The original rule breaks the strict-decrease law from n = 7.
     assert flagged
 
@@ -365,9 +367,8 @@ def broken_table(name, output):
 
 # The identity fixes every ring; the complement breaks parity and raises
 # s; the corrected table with code 193 flipped breaks the two-step law at
-# n = 7. The complement's default budget is left out: it takes 25 s at n = 9.
-# At budget 40 its period-2 rows pass the checkpoints 16 and 32, so a
-# cycle proof that cut rows short in the invariant pass would show.
+# n = 7. The complement's period-2 rows pass the checkpoints 16 and 32
+# at budget 40, where Brent's check proves their cycle.
 IDENTITY = broken_table("identity", center_bit)
 COMPLEMENT = broken_table("complement", lambda code: 1 - center_bit(code))
 FLIP_193 = broken_table(
@@ -375,21 +376,22 @@ FLIP_193 = broken_table(
 )
 
 
-def test_sweep_and_reference_checker_agree_on_broken_tables(monkeypatch):
+def test_sweep_and_reference_checker_agree_on_broken_tables():
     seen = set()
     for table, budgets in (
-        (IDENTITY, (None, 3)), (COMPLEMENT, (3, 40)), (FLIP_193, (None, 3))
+        (IDENTITY, (None, 3)), (COMPLEMENT, (None, 3, 40)), (FLIP_193, (None, 3))
     ):
         for n in range(1, 10, 2):
-            for budget in budgets:
-                reference = assert_sweep_lists_the_reference_violations(
-                    monkeypatch, table, n, budget
-                )
-                seen |= {invariant for invariant, _, _ in reference}
+            reference = assert_check_lists_the_reference_violations(table, n, budgets)
+            seen |= {invariant for invariant, _, _ in reference}
     assert seen == {
         V.PARITY_CONSERVED, V.SWITCH_MONOTONE, V.SWITCH_STRICT,
         V.TWO_STEP_DECREASE, V.FIXED_POINT,
     }
+
+
+# With a floor of 1 every slice merges, past the checkpoints too.
+MERGE_FLOORS = (V.MERGE_FLOOR, 1)
 
 
 def swept_classification(table, n, budget):
@@ -416,19 +418,35 @@ def random_table(seed):
 RANDOM_SEEDS = (2, 3, 63)
 
 
-def test_sweep_and_reference_checker_agree_on_random_tables(monkeypatch):
-    # Of the tables above, only these two catch, at n = 9 with a floor of
-    # 1, a merge that forgets whether the two-step law is pending.
+def test_sweep_and_reference_checker_agree_on_random_tables():
     for seed in (2, 63):
         for n in range(1, 10, 2):
-            assert_sweep_lists_the_reference_violations(monkeypatch, random_table(seed), n, 40)
+            assert_check_lists_the_reference_violations(random_table(seed), n, (40,))
 
 
-def test_merged_sweep_lists_the_original_rules_violations():
-    # The 8,192 and 32,768 rings of n = 13 and 15 each fill one slice above
-    # the default merge floor, so violations are listed through merges.
-    assert 1 << 13 >= V.MERGE_FLOOR
-    for n, count in ((13, 845), (15, 3990)):
+def test_violation_lists_are_bounded_by_the_configurations():
+    # Random table 2 breaks a law at nearly every step of every trajectory;
+    # listed along trajectories, n = 11 gave 1,369,973 violations.
+    report = V.verify_size(random_table(2), 11, invariants=True)
+    assert len(report.violations) <= 5 << 11
+    assert len(set((v.invariant, v.witness) for v in report.violations)) \
+        == len(report.violations)
+
+
+def test_invariant_reports_classify_as_plain_reports():
+    # Cycle proofs run under the law check too, so only the violations differ.
+    for table, n, budget in (
+        (ORIG, 13, None), (ORIG, 13, 3), (COMPLEMENT, 9, 40),
+    ):
+        plain = V.verify_size(table, n, budget=budget).to_json()
+        with_laws = V.verify_size(table, n, budget=budget, invariants=True).to_json()
+        assert with_laws.pop("violations")
+        del plain["violations"]
+        assert with_laws == plain, f"{table.variant} n={n} budget={budget}"
+
+
+def test_law_check_lists_the_original_rules_violations():
+    for n, count in ((13, 299), (15, 1110)):
         report = V.verify_size(ORIG, n, invariants=True)
         laws = [v.invariant for v in report.violations]
         assert {law: laws.count(law) for law in set(laws)} == {V.SWITCH_STRICT: count}
@@ -436,6 +454,13 @@ def test_merged_sweep_lists_the_original_rules_violations():
             reference = V.check_trajectory_invariants(ORIG, L.parse(v.witness))
             assert (v.invariant, v.step) in {(r.invariant, r.step) for r in reference}, \
                 f"n={n} {v.witness}"
+        # The laws are rotation-invariant: necklace mode lists the
+        # representatives of exactly the violating classes.
+        neck = V.verify_size(ORIG, n, mode="necklace", invariants=True)
+        assert {
+            (v.invariant, str(L.rotate(L.parse(v.witness), k)), v.step)
+            for v in neck.violations for k in range(n)
+        } == {(v.invariant, v.witness, v.step) for v in report.violations}, f"n={n}"
 
 
 def test_sweep_classification_agrees_with_the_reference_classifier(monkeypatch):
