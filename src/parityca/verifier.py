@@ -207,9 +207,11 @@ def _sweep_rows(
     Only live trajectories are stepped: a state leaves the arrays as soon
     as it reaches a homogeneous state or a fixed point, or as soon as it
     is proven cyclic. Each step builds one mask of the states that
-    finished and records only those few. With ``invariants``, the step
-    laws are checked on the first step, where the live states are exactly
-    the non-homogeneous starts (see ``_broken_laws``).
+    finished and records only those few. Each step is one
+    ``packed.batch_step(rule, ...)``; the sweep fetches no table. With
+    ``invariants``, the step laws are checked on the first step, where
+    the live states are exactly the non-homogeneous starts (see
+    ``_broken_laws``).
 
     Rows in one state at one step share every later state, since the
     rule is a function: they finish at the same step in the same state,
@@ -246,10 +248,6 @@ def _sweep_rows(
     merge at every one while enough states are live, a checkpoint at
     every one from n on.
     """
-    lut = packed.lut64(rule)
-    # Built before the sweep's arrays, so that the temporaries of its
-    # first build do not add to them at the peak.
-    tables = packed.invariant_tables(rule) if invariants else None
     all_ones = packed.mask_of(n)
     size = start.size
     tally = _Tally(checked=int(size))
@@ -298,9 +296,9 @@ def _sweep_rows(
         if power and merging and x.size >= MERGE_FLOOR:
             first = merge(x)
             x, group = x[first], group[first]
-        y = packed.batch_step(lut, x, n)
+        y = packed.batch_step(rule, x, n)
         if invariants and t == 0:
-            tally.violations = _broken_laws(tables, lut, n, x, y)
+            tally.violations = _broken_laws(rule, n, x, y)
         done = (y == 0) | (y == all_ones) | (y == x)
         if saved is not None:
             cycled = y == saved[group]
@@ -313,9 +311,10 @@ def _sweep_rows(
         x = y
         t += 1
 
-    # Rows take the outcome of the group they joined, latest merge first.
+    # Rows take the outcome of the group they joined, the first of its
+    # merge run, latest merge first.
     for members, heads in reversed(merges):
-        joined = _joined(members, heads)
+        joined = np.repeat(members[heads], np.diff(heads, append=members.size))
         final[members], t0[members] = final[joined], t0[joined]
     target = np.where(packed.parity_bits(start) == 1, all_ones, np.uint64(0))
     never = t0 < 0
@@ -331,12 +330,12 @@ def _sweep_rows(
 
 
 def _broken_laws(
-    tables: np.ndarray, lut: np.ndarray, n: int, x: np.ndarray, y: np.ndarray
+    rule: RuleTable, n: int, x: np.ndarray, y: np.ndarray
 ) -> list[tuple[str, int, int]]:
     """The (law, configuration, step) of each step law a configuration breaks.
 
     ``x`` holds non-homogeneous configurations and ``y`` their steps
-    under the rule of ``lut`` and ``tables`` (``packed.invariant_tables``).
+    under the rule; only this check builds ``packed.invariant_tables``.
     Each law reads only a configuration x, its step y and, for the
     two-step law, the next step z. Every state that a trajectory visits
     is also a configuration of the sweep, so checking x -> y -> z once
@@ -352,13 +351,14 @@ def _broken_laws(
     are invariant under rotation, so in necklace mode the violating
     class representatives are listed.
     """
+    tables = packed.invariant_tables(rule)
     switch, drop, d78b = packed.window_gather(tables, x, n)
     s_x = np.bitwise_count(switch)
     s_y = np.bitwise_count(packed.window_gather(tables[0], y, n))
     held = s_y >= s_x
     fixed = y == x
     pending = np.flatnonzero((d78b != 0) & held & ~fixed)
-    z = packed.batch_step(lut, y[pending], n)
+    z = packed.batch_step(rule, y[pending], n)
     s_z = np.bitwise_count(packed.window_gather(tables[0], z, n))
     violations = []
     for law, rows, step in (
@@ -370,11 +370,6 @@ def _broken_laws(
     ):
         violations += [(law, w, step) for w in x[rows].tolist()]
     return violations
-
-
-def _joined(members: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """The group each of a merge's members joined: the first of its run."""
-    return np.repeat(members[heads], np.diff(heads, append=members.size))
 
 
 def verify_size(

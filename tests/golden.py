@@ -215,7 +215,6 @@ def check_ring_and_kernel_properties(table, n):
     triple lift of its step; the switch table counts no switch exactly
     on the homogeneous rings; and no ordered block is longer than n + 1.
     """
-    lut = packed.lut64(table)
     switch = packed.invariant_tables(table)[0]
 
     def lift(v):
@@ -223,10 +222,10 @@ def check_ring_and_kernel_properties(table, n):
 
     for lo in range(0, 1 << n, 1 << 16):
         c = np.arange(lo, min(lo + (1 << 16), 1 << n), dtype=np.uint64)
-        y = packed.batch_step(lut, c, n)
-        rotated = packed.batch_step(lut, packed.rotl(c, 1, n), n)
+        y = packed.batch_step(table, c, n)
+        rotated = packed.batch_step(table, packed.rotl(c, 1, n), n)
         assert (rotated == packed.rotl(y, 1, n)).all(), f"n={n}: rotation"
-        assert (packed.batch_step(lut, lift(c), 3 * n) == lift(y)).all(), f"n={n}: lift"
+        assert (packed.batch_step(table, lift(c), 3 * n) == lift(y)).all(), f"n={n}: lift"
         homogeneous = (c == 0) | (c == packed.mask_of(n))
         no_switch = np.bitwise_count(packed.window_gather(switch, c, n)) == 0
         assert (no_switch == homogeneous).all(), f"n={n}: switches"
@@ -240,9 +239,10 @@ def swept_violations(table, n, budget=None):
     return sorted((v.invariant, v.witness, v.step) for v in report.violations)
 
 
-def reference_violations(table, n):
+def reference_violations(table, n, rings=None):
     """The sorted (invariant, witness, step) that ``check_trajectory_invariants``
-    reports on every ring of n cells about the ring itself.
+    reports about each ring itself: every ring of n cells, or the
+    encodings ``rings``.
 
     Those are its entries at step 0, and the two-step law at step 1, which
     reads the ring's second step. A budget of 2 steps reaches both, and
@@ -250,7 +250,7 @@ def reference_violations(table, n):
     """
     return sorted(
         (v.invariant, v.witness, v.step)
-        for bits in range(1 << n)
+        for bits in (range(1 << n) if rings is None else rings)
         for v in verifier.check_trajectory_invariants(
             table, lattice.Configuration(n, bits), 2
         )

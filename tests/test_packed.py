@@ -1,5 +1,6 @@
 """The numpy kernels must agree with the pure-Python reference everywhere."""
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,9 +36,8 @@ def as_config(n, value):
 @pytest.mark.parametrize("n", EXHAUSTIVE_SIZES)
 @pytest.mark.parametrize("rule", [CORR, ORIG], ids=["corrected", "original"])
 def test_batch_step_matches_engine_exhaustively(n, rule):
-    lut = P.lut64(rule)
     c = all_configs(n)
-    stepped = P.batch_step(lut, c, n)
+    stepped = P.batch_step(rule, c, n)
     for value, out in zip(c, stepped):
         assert int(out) == E.step(rule, as_config(n, value)).bits
 
@@ -48,7 +48,7 @@ def test_batch_step_matches_engine_exhaustively(n, rule):
 def test_batch_step_matches_engine_sampled(n):
     c = sample_configs(n, 300, seed=n)
     for rule in (CORR, ORIG):
-        stepped = P.batch_step(P.lut64(rule), c, n)
+        stepped = P.batch_step(rule, c, n)
         for value, out in zip(c, stepped):
             assert int(out) == E.step(rule, as_config(n, value)).bits
 
@@ -76,7 +76,7 @@ def assert_invariant_tables_match_masks(rule, c, n):
     assert (switch == P.switch_gaps(c, n)[0]).all()
     assert (np.bitwise_count(switch) == P.switch_counts(c, n)[0]).all()
     doms = P.domain_masks(c, n)
-    expected = P.merge_mask(c, P.batch_step(P.lut64(rule), c, n), n)
+    expected = P.merge_mask(c, P.batch_step(rule, c, n), n)
     for kind in M.REDUCING_KINDS:
         expected |= doms[kind]
     # The window of cells k .. k+7 flags the domains that start at k-4 .. k+3.
@@ -116,6 +116,18 @@ def test_invariant_tables_are_built_once_per_rule_and_read_only():
     table = P.invariant_tables(CORR)
     assert table.shape == (3, 1 << 17) and table.dtype == np.uint8
     assert not table.flags.writeable
+
+
+def test_invariant_tables_build_in_row_blocks():
+    # Over all 2^17 windows at once, the build's temporaries peaked at 24 MB.
+    P.lut64(CORR)
+    tracemalloc.start()
+    try:
+        P.invariant_tables.__wrapped__(CORR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, f"peak {peak / 2**20:.1f} MB"
 
 
 @pytest.mark.parametrize("n", EXHAUSTIVE_SIZES)
@@ -166,9 +178,8 @@ def test_domain_masks_match_metrics_sampled(n):
 
 @pytest.mark.parametrize("n", EXHAUSTIVE_SIZES)
 def test_merge_mask_matches_metrics_exhaustively(n):
-    lut = P.lut64(CORR)
     c = all_configs(n)
-    y = P.batch_step(lut, c, n)
+    y = P.batch_step(CORR, c, n)
     merged = P.merge_mask(c, y, n)
     for value, sites in zip(c, merged):
         x = as_config(n, value)
@@ -349,8 +360,7 @@ def test_batch_step_handles_lifted_widths(k_half, data):
     bits = data.draw(st.integers(0, (1 << n) - 1))
     x = L.Configuration(n, bits)
     lifted = concat_power(x, 3)
-    lut = P.lut64(CORR)
-    out = P.batch_step(lut, np.array([lifted.bits], dtype=np.uint64), lifted.n)
+    out = P.batch_step(CORR, np.array([lifted.bits], dtype=np.uint64), lifted.n)
     assert int(out[0]) == E.step(CORR, lifted).bits
 
 

@@ -196,9 +196,9 @@ def count_steps(monkeypatch):
     inner = P.batch_step
     widths = []
 
-    def counting(lut, c, n):
+    def counting(rule, c, n):
         widths.append(c.size)
-        return inner(lut, c, n)
+        return inner(rule, c, n)
 
     monkeypatch.setattr(P, "batch_step", counting)
     return widths
@@ -375,6 +375,11 @@ FLIP_193 = broken_table(
     "flip-193", lambda code: CORR.outputs[code] ^ (code == 193)
 )
 
+LAWS = {
+    V.PARITY_CONSERVED, V.SWITCH_MONOTONE, V.SWITCH_STRICT, V.TWO_STEP_DECREASE,
+    V.FIXED_POINT,
+}
+
 
 def test_sweep_and_reference_checker_agree_on_broken_tables():
     seen = set()
@@ -384,10 +389,35 @@ def test_sweep_and_reference_checker_agree_on_broken_tables():
         for n in range(1, 10, 2):
             reference = assert_check_lists_the_reference_violations(table, n, budgets)
             seen |= {invariant for invariant, _, _ in reference}
-    assert seen == {
-        V.PARITY_CONSERVED, V.SWITCH_MONOTONE, V.SWITCH_STRICT,
-        V.TWO_STEP_DECREASE, V.FIXED_POINT,
-    }
+    assert seen == LAWS
+
+
+def test_law_check_and_reference_checker_agree_on_wide_rings():
+    # The sweeps above stop at n = 9 (15 in the extended suite). Here the
+    # gathers span three to eight byte groups, and from n = 53 some
+    # windows come from a rotation of the ring.
+    rng = np.random.default_rng(18)
+    seen = set()
+    for n in range(17, P.MAX_N + 1, 2):
+        # Non-homogeneous: neither 0 nor 2^n - 1.
+        x = rng.integers(1, (1 << n) - 1, size=24, dtype=np.uint64)
+        for table in (CORR, ORIG, IDENTITY, COMPLEMENT, FLIP_193):
+            listed = V._broken_laws(table, n, x, P.batch_step(table, x, n))
+            swept = sorted(
+                (law, str(L.Configuration(n, w)), step) for law, w, step in listed
+            )
+            reference = golden.reference_violations(table, n, x.tolist())
+            assert swept == reference, f"{table.variant} n={n}"
+            seen |= {invariant for invariant, _, _ in reference}
+    assert seen == LAWS
+
+
+def test_only_invariant_sweeps_build_the_law_table():
+    P.invariant_tables.cache_clear()
+    V.verify_size(CORR, 13)
+    assert P.invariant_tables.cache_info().currsize == 0
+    V.verify_size(CORR, 13, invariants=True)
+    assert P.invariant_tables.cache_info().currsize == 1
 
 
 # With a floor of 1 every slice merges, past the checkpoints too.
