@@ -7,6 +7,8 @@ from .lattice import Configuration
 from .rule import RuleTable
 
 _WINDOW_MASK = 0x1FF
+# Rule outputs (bytes 0 and 1) to the digits that ``int(..., 2)`` reads.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def default_budget(n: int, budget: int | None = None) -> int:
@@ -21,21 +23,21 @@ def default_budget(n: int, budget: int | None = None) -> int:
 def step(rule: RuleTable, x: Configuration) -> Configuration:
     """One synchronous update: every cell reads its nine-cell window.
 
-    The window slides one cell at a time, so each step costs O(n) lookups.
-    Indices wrap modulo n; for n < 9 a cell may appear several times in
-    one window, which is exactly the behaviour of the concatenated lift.
+    The ring text, padded by four cells on each side, is read as one
+    integer with cell -4 at its top bit, so the window of cell i is the
+    nine bits at shift n-1-i, leftmost cell on top, as ``rule.outputs``
+    is indexed: one lookup per cell. Indices wrap modulo n; for n < 9 a
+    cell may appear several times in one window, which is exactly the
+    behaviour of the concatenated lift.
     """
     n = x.n
-    bits = x.bits
+    text = str(x) * (8 // n + 3)
+    lo = -4 % n
+    padded = int(text[lo:lo + n + 8], 2)
     outputs = rule.outputs
-    code = 0
-    for j in range(-4, 5):
-        code = (code << 1) | ((bits >> (j % n)) & 1)
-    out = outputs[code]
-    for i in range(1, n):
-        code = ((code << 1) & _WINDOW_MASK) | ((bits >> ((i + 4) % n)) & 1)
-        out |= outputs[code] << i
-    return Configuration(n=n, bits=out)
+    # Shifts 0, 1, ... give cells n-1, n-2, ...: the new ring's bits, top first.
+    out = bytes([outputs[(padded >> shift) & _WINDOW_MASK] for shift in range(n)])
+    return Configuration(n=n, bits=int(out.translate(_DIGITS), 2))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,9 @@ DOMAINS = (
     ("D912b", "1110110100", ""),
 )
 
+# The most cells any row of ``DOMAINS`` reads from its start.
+_DOMAIN_REACH = max(len(pattern) for _, *row in DOMAINS for pattern in row)
+
 # Domains that strictly lower the switch count in one step (plus merges).
 REDUCING_KINDS = frozenset({"D56r", "D78r", "D910r", "D912r"})
 
@@ -98,18 +101,20 @@ def switches(x: Configuration) -> SwitchReport:
     A block switch at i marks a box starting at i+1. A regular switch at
     i requires differing cells with neither of them belonging to a box
     pair. s is the total count; s = 0 exactly on homogeneous rings.
+    Both kinds sit between differing cells (a box's 0 follows a 1), so
+    only the set bits of ``bits ^ rotr(bits, 1)`` are visited.
     """
     n = x.n
-    text = str(x)
-    ring = text + text[0]
+    bits = x.bits
     boxes = find_boxes(x)
     box_starts = set(boxes)
     box_cells = box_starts | {(b + 1) % n for b in boxes}
     found = []
-    for i in range(n):
-        # Both kinds sit between differing cells: a box's 0 follows a 1.
-        if ring[i] == ring[i + 1]:
-            continue
+    gaps = bits ^ ((bits >> 1) | ((bits & 1) << (n - 1)))
+    while gaps:
+        low = gaps & -gaps
+        gaps ^= low
+        i = low.bit_length() - 1
         j = (i + 1) % n
         if j in box_starts:
             found.append(Switch(pos=i, kind="b"))
@@ -121,13 +126,22 @@ def switches(x: Configuration) -> SwitchReport:
 def find_domains(x: Configuration) -> list[DomainHit]:
     """Every hit of every kind in ``DOMAINS``, in order of position.
 
-    Overlapping hits of different kinds are all reported.
+    Overlapping hits of different kinds are all reported. The ring is
+    built once, with the text repeated until every row can be read in
+    full from each start p < n; a hit is dropped where its ``unless``
+    pattern also starts.
     """
     text = str(x)
+    n = len(text)
+    ring = text * ((_DOMAIN_REACH - 1) // n + 2)
     hits: list[DomainHit] = []
     for kind, pattern, unless in DOMAINS:
-        excluded = set(_starts(text, unless)) if unless else set()
-        hits.extend(DomainHit(kind, p) for p in _starts(text, pattern) if p not in excluded)
+        end = n + len(pattern) - 1
+        p = ring.find(pattern, 0, end)
+        while p >= 0:
+            if not (unless and ring.startswith(unless, p)):
+                hits.append(DomainHit(kind, p))
+            p = ring.find(pattern, p + 1, end)
     return sorted(hits, key=lambda hit: hit.pos)
 
 

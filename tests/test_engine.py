@@ -1,15 +1,18 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from parityca import engine as E
 from parityca import lattice as L
-from parityca.rule import CORRECTED, ORIGINAL, build_rule_table
+from parityca.rule import CORRECTED, ORIGINAL, TABLE_SIZE, RuleTable, build_rule_table
 import golden
 
 CORR = build_rule_table(CORRECTED)
 ORIG = build_rule_table(ORIGINAL)
+_bits = random.Random(19).getrandbits
+RANDOM = RuleTable("random-19", bytes(_bits(1) for _ in range(TABLE_SIZE)))
 
 odd_configs = st.integers(min_value=2, max_value=14).flatmap(
     lambda half: st.integers(min_value=0, max_value=(1 << (2 * half + 1)) - 1).map(
@@ -25,6 +28,33 @@ def trajectory(rule, text, steps):
         x = E.step(rule, x)
         rows.append(str(x))
     return rows
+
+
+def window_oracle(rule, x):
+    """One step, cell by cell: the window of cell i is cells i-4..i+4 mod n."""
+    return L.Configuration(x.n, sum(
+        rule.outputs[int("".join(str(x.cell(i + j)) for j in range(-4, 5)), 2)] << i
+        for i in range(x.n)
+    ))
+
+
+@pytest.mark.parametrize("rule", [CORR, ORIG, RANDOM], ids=lambda r: r.variant)
+def test_step_against_window_oracle_exhaustive(rule):
+    for n in range(1, 14, 2):
+        for bits in range(1 << n):
+            x = L.Configuration(n, bits)
+            assert E.step(rule, x) == window_oracle(rule, x)
+
+
+@pytest.mark.parametrize("rule", [CORR, ORIG, RANDOM], ids=lambda r: r.variant)
+def test_step_against_window_oracle_beyond_the_kernel_width(rule):
+    # The batch_step differential stops at packed.MAX_N = 63 cells; the
+    # CLI steps rings of any odd length through engine.step.
+    rng = random.Random(65)
+    for n in (65, 101, 1001):
+        for _ in range(8):
+            x = L.Configuration(n, rng.getrandbits(n))
+            assert E.step(rule, x) == window_oracle(rule, x)
 
 
 def test_single_steps_match_the_published_rows():
@@ -106,8 +136,6 @@ def test_parity_is_conserved_exhaustively_small():
 
 
 def test_parity_is_conserved_randomized_large():
-    import random
-
     rng = random.Random(4211)
     for _ in range(200):
         n = rng.choice(range(19, 64, 2))

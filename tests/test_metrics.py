@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -91,6 +93,15 @@ def test_switches_against_gap_oracle_exhaustive():
             assert report.s == len(report.switches)
 
 
+def test_switches_against_gap_oracle_on_wide_rings():
+    rng = random.Random(101)
+    for n in (63, 101, 1001):
+        for _ in range(8):
+            x = L.Configuration(n, rng.getrandbits(n))
+            report = M.switches(x)
+            assert [(sw.pos, sw.kind) for sw in report.switches] == switch_oracle(x)
+
+
 def test_zero_switches_iff_homogeneous_exhaustive():
     for n in (1, 3, 5, 7, 9, 11):
         for bits in range(1 << n):
@@ -142,6 +153,13 @@ def test_domain_goldens():
 def test_domains_against_window_oracle_on_named_rows():
     for text in [golden.FAULTY, *golden.SAMPLE19_ROWS[:5], "111001010"]:
         x = L.parse(text)
+        assert [(h.kind, h.pos) for h in M.find_domains(x)] == domain_oracle(x)
+
+
+@pytest.mark.parametrize("n", range(1, 14, 2))
+def test_domains_against_window_oracle_exhaustive(n):
+    for bits in range(1 << n):
+        x = L.Configuration(n, bits)
         assert [(h.kind, h.pos) for h in M.find_domains(x)] == domain_oracle(x)
 
 
