@@ -15,97 +15,43 @@ from .rule import CORRECTED, ORIGINAL, VARIANTS, build_rule_table, table_diff, \
 WORKERS_ENV = "PARITYCA_WORKERS"
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative: {text!r}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = _nonnegative_int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
-    return value
-
-
-def _max_size(text: str) -> int:
-    value = _positive_int(text)
-    if value > packed.MAX_N:
-        raise argparse.ArgumentTypeError(f"must be at most {packed.MAX_N}: {text!r}")
-    return value
+def _int_in(lo: int, hi: int | None = None):
+    """The argparse type for an integer from lo up to hi (no upper bound if None)."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}: {text!r}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be at most {hi}: {text!r}")
+        return value
+    return convert
 
 
 def _sizes(text: str) -> list[int]:
     """Parse '1..21', '13' or '3,5,13' into a list of odd sizes."""
-    too_large = argparse.ArgumentTypeError(f"sizes must be at most {packed.MAX_N}: {text!r}")
-    not_positive = argparse.ArgumentTypeError(f"sizes must be odd and positive: {text!r}")
+    ranged = ".." in text
     try:
-        if ".." in text:
-            lo_text, hi_text = text.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if hi > packed.MAX_N:
-                raise too_large
-            if lo < 1:
-                raise not_positive
-            if lo > hi:
-                raise argparse.ArgumentTypeError(f"empty size range: {text!r}")
-            sizes = [n for n in range(lo, hi + 1) if n % 2 == 1]
+        if ranged:
+            lo, hi = (int(end) for end in text.split("..", 1))
         else:
             sizes = [int(part) for part in text.split(",")]
+            lo, hi = min(sizes), max(sizes)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad size list {text!r}") from exc
-    if not sizes or any(n < 1 or n % 2 == 0 for n in sizes):
-        raise not_positive
-    if max(sizes) > packed.MAX_N:
-        raise too_large
-    return sizes
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="parityca",
-        description="Radius-4 cellular automaton for the parity problem.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("evolve", help="run a configuration and print the diagram")
-    p.add_argument("--rule", choices=VARIANTS, default=CORRECTED)
-    p.add_argument("--config", required=True)
-    p.add_argument("--steps", type=_nonnegative_int, default=None)
-    p.add_argument("--budget", type=_positive_int, default=None)
-    p.add_argument("--format", choices=("text", "json", "pbm"), default="text")
-    p.add_argument("--output", default=None)
-
-    p = sub.add_parser("annotate", help="switch/box/ordered-block report")
-    p.add_argument("--config", required=True)
-    p.add_argument("--format", choices=("text", "json", "both"), default="both")
-
-    p = sub.add_parser("verify", help="exhaustive sweep, one JSON report per size")
-    p.add_argument("--rule", choices=VARIANTS, default=CORRECTED)
-    p.add_argument("--sizes", type=_sizes, required=True)
-    p.add_argument("--mode", choices=verifier.MODES, default=verifier.FULL)
-    p.add_argument("--workers", type=_positive_int, default=None,
-                   help=f"worker processes (default: ${WORKERS_ENV}, else 1)")
-    p.add_argument("--budget", type=_positive_int, default=None)
-    p.add_argument("--invariants", action="store_true",
-                   help="also check the five step laws on every configuration")
-
-    p = sub.add_parser("rule", help="inspect a rule table")
-    p.add_argument("--variant", choices=VARIANTS, default=CORRECTED)
-    p.add_argument("--emit", choices=("table", "number", "diff"), required=True)
-
-    p = sub.add_parser("search", help="find misclassified configurations")
-    p.add_argument("--rule", choices=VARIANTS, default=CORRECTED)
-    p.add_argument("--max-size", type=_max_size, required=True)
-    p.add_argument("--mode", choices=verifier.MODES, default=verifier.FULL)
-    p.add_argument("--workers", type=_positive_int, default=None,
-                   help=f"worker processes (default: ${WORKERS_ENV}, else 1)")
-    p.add_argument("--budget", type=_positive_int, default=None)
-    return parser
+    # A range is judged by its ends until it passes, so -10000000000..5 is never
+    # listed; it holds an odd size unless it is one even number. A list names an
+    # even or non-positive size before one that is too large.
+    odd = (lo % 2 == 1 or lo != hi) if ranged else all(n % 2 == 1 for n in sizes)
+    if hi > packed.MAX_N and (ranged or (lo >= 1 and odd)):
+        raise argparse.ArgumentTypeError(f"sizes must be at most {packed.MAX_N}: {text!r}")
+    if lo < 1 or not odd:
+        raise argparse.ArgumentTypeError(f"sizes must be odd and positive: {text!r}")
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty size range: {text!r}")
+    return [n for n in range(lo, hi + 1) if n % 2 == 1] if ranged else sizes
 
 
 class OutputError(Exception):
@@ -147,15 +93,15 @@ def _cmd_evolve(args) -> int:
     else:
         steps = outcome.steps
     diagram = engine.space_time(rule, x, steps)
-    if args.format == "text":
-        _emit(engine.render_text(diagram) + "\n", args.output)
-        print(_outcome_summary(outcome), file=sys.stderr)
-    elif args.format == "pbm":
-        _emit(engine.render_pbm(diagram), args.output)
-        print(_outcome_summary(outcome), file=sys.stderr)
+    if args.format == "json":
+        text = json.dumps(engine.trajectory_json(rule, diagram, outcome)) + "\n"
+    elif args.format == "text":
+        text = engine.render_text(diagram) + "\n"
     else:
-        doc = engine.trajectory_json(rule, diagram, outcome)
-        _emit(json.dumps(doc) + "\n", args.output)
+        text = engine.render_pbm(diagram)
+    _emit(text, args.output)
+    if args.format != "json":
+        print(_outcome_summary(outcome), file=sys.stderr)
     return 0
 
 
@@ -207,21 +153,55 @@ def _cmd_search(args) -> int:
         rule, args.max_size, budget=args.budget, mode=args.mode, workers=args.workers
     )
     for n, config, outcome in found:
-        print(
-            json.dumps(
-                {"n": n, "config": str(config), "outcome": engine.outcome_json(outcome)}
-            )
-        )
+        doc = {"n": n, "config": str(config), "outcome": engine.outcome_json(outcome)}
+        print(json.dumps(doc))
     return 1 if found else 0
 
 
-_COMMANDS = {
-    "evolve": _cmd_evolve,
-    "annotate": _cmd_annotate,
-    "verify": _cmd_verify,
-    "rule": _cmd_rule,
-    "search": _cmd_search,
-}
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="parityca",
+        description="Radius-4 cellular automaton for the parity problem.",
+    )
+    rule_options = argparse.ArgumentParser(add_help=False)
+    rule_options.add_argument("--rule", choices=VARIANTS, default=CORRECTED)
+    rule_options.add_argument("--budget", type=_int_in(1), default=None)
+    sweep_options = argparse.ArgumentParser(add_help=False)
+    sweep_options.add_argument("--mode", choices=verifier.MODES, default=verifier.FULL)
+    sweep_options.add_argument("--workers", type=_int_in(1), default=None,
+                               help=f"worker processes (default: ${WORKERS_ENV}, else 1)")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("evolve", parents=[rule_options],
+                       help="run a configuration and print the diagram")
+    p.set_defaults(run=_cmd_evolve)
+    p.add_argument("--config", required=True)
+    p.add_argument("--steps", type=_int_in(0), default=None)
+    p.add_argument("--format", choices=("text", "json", "pbm"), default="text")
+    p.add_argument("--output", default=None)
+
+    p = sub.add_parser("annotate", help="switch/box/ordered-block report")
+    p.set_defaults(run=_cmd_annotate)
+    p.add_argument("--config", required=True)
+    p.add_argument("--format", choices=("text", "json", "both"), default="both")
+
+    p = sub.add_parser("verify", parents=[rule_options, sweep_options],
+                       help="exhaustive sweep, one JSON report per size")
+    p.set_defaults(run=_cmd_verify)
+    p.add_argument("--sizes", type=_sizes, required=True)
+    p.add_argument("--invariants", action="store_true",
+                   help="also check the five step laws on every configuration")
+
+    p = sub.add_parser("rule", help="inspect a rule table")
+    p.set_defaults(run=_cmd_rule)
+    p.add_argument("--variant", choices=VARIANTS, default=CORRECTED)
+    p.add_argument("--emit", choices=("table", "number", "diff"), required=True)
+
+    p = sub.add_parser("search", parents=[rule_options, sweep_options],
+                       help="find misclassified configurations")
+    p.set_defaults(run=_cmd_search)
+    p.add_argument("--max-size", type=_int_in(1, packed.MAX_N), required=True)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -229,11 +209,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "workers", 1) is None:
         try:
-            args.workers = _positive_int(os.environ.get(WORKERS_ENV, "1"))
+            args.workers = _int_in(1)(os.environ.get(WORKERS_ENV, "1"))
         except argparse.ArgumentTypeError as exc:
             parser.error(f"{WORKERS_ENV}: {exc}")
     try:
-        code = _COMMANDS[args.command](args)
+        code = args.run(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

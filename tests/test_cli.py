@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -240,6 +241,23 @@ def test_sizes_past_the_kernel_width_exit_two_at_once(capsys):
         assert "at most 63" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sizes, message", [
+    ("64", "odd and positive"),
+    ("0,65", "odd and positive"),
+    ("3,65", "at most 63"),
+    ("64..64", "at most 63"),
+    ("0..65", "at most 63"),
+    ("4..3", "empty size range"),
+    ("2..2", "odd and positive"),
+])
+def test_size_errors_keep_their_precedence(capsys, sizes, message):
+    # A list names a bad size before a wide one; a range names its wide end first.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--sizes", sizes])
+    assert exc.value.code == 2
+    assert f"{message}: {sizes!r}" in capsys.readouterr().err
+
+
 def test_search_without_a_size_to_check_exits_two(capsys):
     for bad in ("0", "-5"):
         with pytest.raises(SystemExit) as exc:
@@ -292,6 +310,99 @@ def test_evolve_negative_steps_exit_two(capsys):
         cli.main(["evolve", "--config", golden.FAULTY, "--steps", "-3"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+BASE_ARGV = {
+    "evolve": ["evolve", "--config", golden.FAULTY],
+    "verify": ["verify", "--sizes", "3"],
+    "search": ["search", "--max-size", "3"],
+    "rule": ["rule", "--emit", "table"],
+}
+BAD_OPTIONS = (
+    [(command, "--budget", value) for command in ("evolve", "verify", "search")
+     for value in ("0", "-1", "x")]
+    + [(command, "--workers", value) for command in ("verify", "search")
+       for value in ("0", "-1", "x")]
+    + [("evolve", "--steps", value) for value in ("-1", "x")]
+    + [(command, "--mode", "x") for command in ("verify", "search")]
+    + [(command, "--rule", "x") for command in ("evolve", "verify", "search")]
+    + [("rule", "--variant", "x")]
+)
+
+
+@pytest.mark.parametrize("command, option, value", BAD_OPTIONS,
+                         ids=["-".join(row) for row in BAD_OPTIONS])
+def test_bad_option_values_exit_two_and_name_the_option(monkeypatch, capsys,
+                                                        command, option, value):
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*BASE_ARGV[command], option, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: " in captured.err
+
+
+@pytest.mark.parametrize("command, option, lo", [
+    ("evolve", "--budget", 1),
+    ("evolve", "--steps", 0),
+    ("verify", "--budget", 1),
+    ("verify", "--workers", 1),
+    ("search", "--budget", 1),
+    ("search", "--workers", 1),
+    ("search", "--max-size", 1),
+])
+def test_integer_options_name_their_lower_bound(monkeypatch, capsys, command, option, lo):
+    # One message per bound: the value just below it and a negative value read alike.
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    for value in (str(lo - 1), "-7"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*BASE_ARGV[command], option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.endswith(f"argument {option}: must be at least {lo}: '{value}'")
+
+
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_workers_variable_names_its_lower_bound(monkeypatch, capsys, value):
+    monkeypatch.setenv(cli.WORKERS_ENV, value)
+    with pytest.raises(SystemExit):
+        cli.main(BASE_ARGV["verify"])
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.endswith(f"{cli.WORKERS_ENV}: must be at least 1: '{value}'")
+
+
+def test_shared_options_reach_the_library(monkeypatch, capsys):
+    code, _, err = run(capsys, "evolve", "--rule", "original", "--config", golden.FAULTY,
+                       "--budget", "5")
+    assert code == 0
+    assert "budget exceeded after 5 steps" in err
+    code, out, _ = run(capsys, "search", "--max-size", "9", "--budget", "3")
+    assert code == 1
+    assert len(out.splitlines()) == 414
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    necklace = ["search", "--rule", "original", "--max-size", "13", "--mode", "necklace"]
+    _, one, _ = run(capsys, *necklace, "--workers", "1")
+    _, two, _ = run(capsys, *necklace, "--workers", "2")
+    assert one and two == one
+
+
+def test_each_command_takes_its_own_options_and_runs_its_own_function():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: {s[2:] for a in p._actions for s in a.option_strings if s != "-h"} - {"help"}
+        for name, p in sub.choices.items()
+    }
+    assert options == {
+        "evolve": {"rule", "budget", "config", "steps", "format", "output"},
+        "annotate": {"config", "format"},
+        "verify": {"rule", "budget", "mode", "workers", "sizes", "invariants"},
+        "rule": {"variant", "emit"},
+        "search": {"rule", "budget", "mode", "workers", "max-size"},
+    }
+    assert all(p.get_default("run") is getattr(cli, f"_cmd_{name}")
+               for name, p in sub.choices.items())
 
 
 def test_unknown_command_exits_two(capsys):
