@@ -35,11 +35,13 @@ from .metrics import (
     Switch,
     SwitchReport,
     annotate,
+    domain_kinds,
     find_boxes,
     find_domains,
     find_pattern,
     merge_events,
     ordered_blocks,
+    switch_count,
     switches,
 )
 from .rule import (

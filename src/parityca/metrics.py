@@ -38,8 +38,10 @@ _DOMAIN_REACH = max(len(pattern) for _, *row in DOMAINS for pattern in row)
 # Domains that strictly lower the switch count in one step (plus merges).
 REDUCING_KINDS = frozenset({"D56r", "D78r", "D910r", "D912r"})
 
-# Update sites whose 00 pair flips to 11, so that two blocks of 1s may merge.
-MERGE_SITES = tuple(pattern for kind, pattern, _ in DOMAINS if kind in ("D12", "D34"))
+# Domains whose 00 pair flips to 11, so that two blocks of 1s may merge,
+# and their patterns, the update sites that ``merge_events`` reads.
+MERGE_KINDS = frozenset({"D12", "D34"})
+MERGE_SITES = tuple(pattern for kind, pattern, _ in DOMAINS if kind in MERGE_KINDS)
 
 
 @dataclass(frozen=True)
@@ -95,54 +97,90 @@ def find_boxes(x: Configuration) -> list[int]:
     return [(p + 1) % x.n for p in find_pattern(x, BOX)]
 
 
+def _switch_gaps(x: Configuration) -> tuple[int, int]:
+    """The regular and the block switch gaps of x, as two n-bit masks.
+
+    Bit i names the gap between cells i and i+1. A block switch at i
+    marks a box starting at i+1. A regular switch at i requires differing
+    cells with neither of them belonging to a box pair, that is no block
+    switch at i, i-1 or i-2; so no gap is both. The ring is read as one
+    integer of enough copies that cell i+k, for -1 <= k <= 3, is bit
+    i+k+n.
+    """
+    n = x.n
+    mask = (1 << n) - 1
+    ring = x.bits * (((1 << (n * (3 // n + 3))) - 1) // mask)
+    box = mask
+    for k, cell in enumerate(BOX, n - 1):
+        box &= ring >> k if cell == "1" else ~(ring >> k)
+    block = (box >> 1) | ((box & 1) << (n - 1))
+    near = block | (block << 1) | (block << 2)
+    regular = (x.bits ^ (ring >> (n + 1))) & ~(near | (near >> n)) & mask
+    return regular, block
+
+
+def switch_count(x: Configuration) -> int:
+    """s, the number of switches: the popcount of the ``switches`` gaps."""
+    regular, block = _switch_gaps(x)
+    return (regular | block).bit_count()
+
+
 def switches(x: Configuration) -> SwitchReport:
     """Classify every gap of the ring as a regular switch, block switch or neither.
 
-    A block switch at i marks a box starting at i+1. A regular switch at
-    i requires differing cells with neither of them belonging to a box
-    pair. s is the total count; s = 0 exactly on homogeneous rings.
-    Both kinds sit between differing cells (a box's 0 follows a 1), so
-    only the set bits of ``bits ^ rotr(bits, 1)`` are visited.
+    The gaps are those of ``_switch_gaps``, in order of position. s is
+    the total count; s = 0 exactly on homogeneous rings.
     """
     n = x.n
-    bits = x.bits
-    boxes = find_boxes(x)
-    box_starts = set(boxes)
-    box_cells = box_starts | {(b + 1) % n for b in boxes}
+    regular, block = _switch_gaps(x)
     found = []
-    gaps = bits ^ ((bits >> 1) | ((bits & 1) << (n - 1)))
+    gaps = regular | block
     while gaps:
         low = gaps & -gaps
         gaps ^= low
-        i = low.bit_length() - 1
-        j = (i + 1) % n
-        if j in box_starts:
-            found.append(Switch(pos=i, kind="b"))
-        elif i not in box_cells and j not in box_cells:
-            found.append(Switch(pos=i, kind="r"))
+        found.append(Switch(pos=low.bit_length() - 1, kind="b" if block & low else "r"))
+    boxes = []
+    while block:
+        low = block & -block
+        block ^= low
+        boxes.append(low.bit_length() % n)
     return SwitchReport(switches=tuple(found), boxes=tuple(sorted(boxes)), s=len(found))
 
 
-def find_domains(x: Configuration) -> list[DomainHit]:
-    """Every hit of every kind in ``DOMAINS``, in order of position.
+def _domain_hits(x: Configuration, first_only: bool = False):
+    """(kind, p) of every hit of every row of ``DOMAINS``, row by row.
 
-    Overlapping hits of different kinds are all reported. The ring is
-    built once, with the text repeated until every row can be read in
-    full from each start p < n; a hit is dropped where its ``unless``
-    pattern also starts.
+    The ring is built once, with the text repeated until every row can
+    be read in full from each start p < n; a hit is dropped where its
+    ``unless`` pattern also starts. With ``first_only`` each row stops
+    at its first hit.
     """
     text = str(x)
     n = len(text)
     ring = text * ((_DOMAIN_REACH - 1) // n + 2)
-    hits: list[DomainHit] = []
     for kind, pattern, unless in DOMAINS:
         end = n + len(pattern) - 1
         p = ring.find(pattern, 0, end)
         while p >= 0:
             if not (unless and ring.startswith(unless, p)):
-                hits.append(DomainHit(kind, p))
+                yield kind, p
+                if first_only:
+                    break
             p = ring.find(pattern, p + 1, end)
+
+
+def find_domains(x: Configuration) -> list[DomainHit]:
+    """Every hit of every kind in ``DOMAINS``, in order of position.
+
+    Overlapping hits of different kinds are all reported.
+    """
+    hits = [DomainHit(kind, p) for kind, p in _domain_hits(x)]
     return sorted(hits, key=lambda hit: hit.pos)
+
+
+def domain_kinds(x: Configuration) -> set[str]:
+    """The kinds of ``find_domains(x)``, each row scanned to its first hit."""
+    return {kind for kind, _ in _domain_hits(x, first_only=True)}
 
 
 def merge_events(x: Configuration, y: Configuration) -> int:

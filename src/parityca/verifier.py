@@ -462,26 +462,26 @@ def check_trajectory_invariants(
 
     start_parity = parity(x)
     cur = x
-    s_cur = metrics.switches(cur).s
+    s_cur = metrics.switch_count(cur)
     pending: int | None = None
     for t in range(budget):
         if is_homogeneous(cur):
             break
         nxt = engine.step(rule, cur)
-        s_next = metrics.switches(nxt).s
+        s_next = metrics.switch_count(nxt)
         if parity(nxt) != start_parity:
             flag(PARITY_CONSERVED, t, f"{cur} -> {nxt}")
         if s_next > s_cur:
             flag(SWITCH_MONOTONE, t, f"s {s_cur} -> {s_next}")
-        kinds = {h.kind for h in metrics.find_domains(cur)}
-        must_drop = (
-            bool(kinds & metrics.REDUCING_KINDS) or metrics.merge_events(cur, nxt) > 0
-        )
-        if must_drop and not s_next < s_cur:
+        # The domain laws only bind a step on which s does not drop.
+        kinds = metrics.domain_kinds(cur) if s_next >= s_cur else set()
+        if kinds & metrics.REDUCING_KINDS or (
+            kinds & metrics.MERGE_KINDS and metrics.merge_events(cur, nxt) > 0
+        ):
             flag(SWITCH_STRICT, t, f"s {s_cur} -> {s_next}")
         if pending is not None and not s_next < pending:
             flag(TWO_STEP_DECREASE, t, f"s stuck at {s_next}")
-        pending = s_next if ("D78b" in kinds and not s_next < s_cur) else None
+        pending = s_next if "D78b" in kinds else None
         if nxt == cur:
             flag(FIXED_POINT, t, f"{cur}")
             break

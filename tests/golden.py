@@ -12,13 +12,16 @@ them sweep every ring of one size: the rule-independent properties of
 rings and of the step kernel, and the step laws that the per-trajectory
 reference checker finds on each ring itself, which the sweep's law check
 must list. ``classification`` is the sweep's classification recomputed
-one ring at a time with ``engine.step``.
+one ring at a time with ``engine.step``, and
+``check_trajectory_invariants_by_reports`` the per-trajectory checker
+written from the full switch and domain reports, the plain reference
+for the count-only ``check_trajectory_invariants``.
 """
 import math
 
 import numpy as np
 
-from parityca import engine, lattice, packed, rule, verifier
+from parityca import engine, lattice, metrics, packed, rule, verifier
 
 FAULTY = "0001110101001"
 
@@ -293,3 +296,49 @@ def classification(table, n, budget=None):
         if max_t0 is None or t > max_t0[0]:
             max_t0 = (t, str(x))
     return 1 << n, correct, max_t0, wrong, nonconv
+
+
+def check_trajectory_invariants_by_reports(table, x, budget=None):
+    """``verifier.check_trajectory_invariants`` read from whole reports.
+
+    Each state's s is ``len`` of its ``metrics.switches`` and its kinds
+    are those of every ``metrics.find_domains`` hit; every law is tested
+    on every step.
+    """
+    budget = engine.default_budget(x.n, budget)
+    violations = []
+    witness = str(x)
+
+    def flag(invariant, step, detail=""):
+        violations.append(
+            verifier.Violation(invariant=invariant, witness=witness, step=step, detail=detail)
+        )
+
+    start_parity = lattice.parity(x)
+    cur = x
+    s_cur = len(metrics.switches(cur).switches)
+    pending = None
+    for t in range(budget):
+        if lattice.is_homogeneous(cur):
+            break
+        nxt = engine.step(table, cur)
+        s_next = len(metrics.switches(nxt).switches)
+        if lattice.parity(nxt) != start_parity:
+            flag(verifier.PARITY_CONSERVED, t, f"{cur} -> {nxt}")
+        if s_next > s_cur:
+            flag(verifier.SWITCH_MONOTONE, t, f"s {s_cur} -> {s_next}")
+        kinds = {h.kind for h in metrics.find_domains(cur)}
+        must_drop = (
+            bool(kinds & metrics.REDUCING_KINDS) or metrics.merge_events(cur, nxt) > 0
+        )
+        if must_drop and not s_next < s_cur:
+            flag(verifier.SWITCH_STRICT, t, f"s {s_cur} -> {s_next}")
+        if pending is not None and not s_next < pending:
+            flag(verifier.TWO_STEP_DECREASE, t, f"s stuck at {s_next}")
+        pending = s_next if ("D78b" in kinds and not s_next < s_cur) else None
+        if nxt == cur:
+            flag(verifier.FIXED_POINT, t, f"{cur}")
+            break
+        cur = nxt
+        s_cur = s_next
+    return violations

@@ -363,6 +363,23 @@ def test_integer_options_name_their_lower_bound(monkeypatch, capsys, command, op
         assert err.endswith(f"argument {option}: must be at least {lo}: '{value}'")
 
 
+def test_evolve_steps_are_capped(capsys, tmp_path):
+    # The whole diagram is held before it is written: 100,000 rows of 13 cells.
+    out = tmp_path / "rows.pbm"
+    code, _, _ = run(capsys, "evolve", "--config", golden.FAULTY, "--steps", "100000",
+                     "--format", "pbm", "--output", str(out))
+    assert code == 0
+    assert out.read_text().splitlines()[:2] == ["P1", "13 100001"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["evolve", "--config", golden.FAULTY, "--steps", "100001"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        "argument --steps: must be at most 100000: '100001'"
+    )
+
+
 @pytest.mark.parametrize("value", ["0", "-4"])
 def test_workers_variable_names_its_lower_bound(monkeypatch, capsys, value):
     monkeypatch.setenv(cli.WORKERS_ENV, value)

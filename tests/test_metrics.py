@@ -11,11 +11,18 @@ import golden
 
 CORR = build_rule_table(CORRECTED)
 
-odd_configs = st.integers(min_value=0, max_value=14).flatmap(
-    lambda half: st.integers(min_value=0, max_value=(1 << (2 * half + 1)) - 1).map(
-        lambda bits: L.Configuration(2 * half + 1, bits)
+
+def odd_rings(max_half):
+    """Rings of every odd size 2h + 1 for 0 <= h <= max_half."""
+    return st.integers(min_value=0, max_value=max_half).flatmap(
+        lambda half: st.integers(min_value=0, max_value=(1 << (2 * half + 1)) - 1).map(
+            lambda bits: L.Configuration(2 * half + 1, bits)
+        )
     )
-)
+
+
+odd_configs = odd_rings(14)
+wide_configs = odd_rings(500)  # up to 1,001 cells
 
 
 def test_find_pattern_is_cyclic():
@@ -85,12 +92,12 @@ def switch_oracle(x):
 
 
 def test_switches_against_gap_oracle_exhaustive():
-    for n in range(1, 14, 2):
+    for n in range(1, 16, 2):
         for bits in range(1 << n):
             x = L.Configuration(n, bits)
             report = M.switches(x)
             assert [(sw.pos, sw.kind) for sw in report.switches] == switch_oracle(x)
-            assert report.s == len(report.switches)
+            assert M.switch_count(x) == report.s == len(report.switches)
 
 
 def test_switches_against_gap_oracle_on_wide_rings():
@@ -100,6 +107,28 @@ def test_switches_against_gap_oracle_on_wide_rings():
             x = L.Configuration(n, rng.getrandbits(n))
             report = M.switches(x)
             assert [(sw.pos, sw.kind) for sw in report.switches] == switch_oracle(x)
+            assert M.switch_count(x) == report.s
+
+
+@given(wide_configs)
+@settings(max_examples=60)
+def test_switch_count_is_the_switch_report_count_on_wide_rings(x):
+    assert M.switch_count(x) == M.switches(x).s == len(switch_oracle(x))
+
+
+@pytest.mark.parametrize("text, boxes, gaps", [
+    ("0", [], []),
+    ("1", [], []),
+    ("10100", [1], [(0, "b"), (4, "r")]),  # one box pattern; the seam gap 4 is regular
+    ("100000010", [8], [(6, "r"), (7, "b")]),  # box on the last cell, its pair over the seam
+    ("010000001", [0], [(7, "r"), (8, "b")]),  # box on cell 0, its block switch on the seam
+])
+def test_switches_at_the_seam(text, boxes, gaps):
+    x = L.parse(text)
+    report = M.switches(x)
+    assert list(report.boxes) == boxes
+    assert [(sw.pos, sw.kind) for sw in report.switches] == gaps == switch_oracle(x)
+    assert M.switch_count(x) == len(gaps)
 
 
 def test_zero_switches_iff_homogeneous_exhaustive():
@@ -156,17 +185,27 @@ def test_domains_against_window_oracle_on_named_rows():
         assert [(h.kind, h.pos) for h in M.find_domains(x)] == domain_oracle(x)
 
 
-@pytest.mark.parametrize("n", range(1, 14, 2))
+@pytest.mark.parametrize("n", range(1, 16, 2))
 def test_domains_against_window_oracle_exhaustive(n):
     for bits in range(1 << n):
         x = L.Configuration(n, bits)
-        assert [(h.kind, h.pos) for h in M.find_domains(x)] == domain_oracle(x)
+        hits = domain_oracle(x)
+        assert [(h.kind, h.pos) for h in M.find_domains(x)] == hits
+        assert M.domain_kinds(x) == {kind for kind, _ in hits}
 
 
 @given(odd_configs)
 @settings(max_examples=150)
 def test_domains_against_window_oracle(x):
     assert [(h.kind, h.pos) for h in M.find_domains(x)] == domain_oracle(x)
+
+
+@given(wide_configs)
+@settings(max_examples=60)
+def test_domain_kinds_are_the_kinds_of_every_hit_on_wide_rings(x):
+    kinds = M.domain_kinds(x)
+    assert kinds == {h.kind for h in M.find_domains(x)}
+    assert kinds == {kind for kind, _ in domain_oracle(x)}
 
 
 def test_domain_variants_refine_their_base_patterns():

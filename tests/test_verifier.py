@@ -1,5 +1,7 @@
 import json
+import os
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ import golden
 
 CORR = build_rule_table(CORRECTED)
 ORIG = build_rule_table(ORIGINAL)
+ROOT = Path(__file__).resolve().parent.parent
+EXTENDED = int(os.environ.get("PARITYCA_EXTENDED", "0") or "0")
 
 
 def test_plan_is_a_lazy_range_of_chunk_starts():
@@ -452,6 +456,60 @@ def test_sweep_and_reference_checker_agree_on_random_tables():
     for seed in (2, 63):
         for n in range(1, 10, 2):
             assert_check_lists_the_reference_violations(random_table(seed), n, (40,))
+
+
+def assert_checker_matches_the_report_checker(table, n, budgets):
+    """The count-only checker equals the one read from whole reports, ring by ring.
+
+    The reference runs once per ring, at the largest budget: step t adds
+    only violations of step t, so a smaller budget keeps those before it.
+    """
+    caps = {budget: E.default_budget(n, budget) for budget in budgets}
+    for bits in range(1 << n):
+        x = L.Configuration(n, bits)
+        reference = golden.check_trajectory_invariants_by_reports(table, x, max(caps.values()))
+        for budget, cap in caps.items():
+            assert V.check_trajectory_invariants(table, x, budget) == \
+                [v for v in reference if v.step < cap], f"{table.variant} {x} budget={budget}"
+
+
+CHECKER_TABLES = {
+    table.variant: table
+    for table in (CORR, ORIG, IDENTITY, COMPLEMENT, FLIP_193, *map(random_table, RANDOM_SEEDS))
+}
+# Tables under which most rings never settle, so that the default budget of
+# 4n^2 steps runs out on each: from n = 7 on the two checkers take about a
+# minute per table there, which the extended suite pays.
+CYCLING_TABLES = ("complement", *(f"random-{seed}" for seed in RANDOM_SEEDS))
+
+
+@pytest.mark.parametrize("variant", CHECKER_TABLES)
+def test_checker_matches_the_report_checker(variant):
+    for n in range(1, 12, 2):
+        cycling = variant in CYCLING_TABLES and n > 5
+        budgets = (2, 3) if cycling else (None, 2, 3)
+        assert_checker_matches_the_report_checker(CHECKER_TABLES[variant], n, budgets)
+
+
+@pytest.mark.skipif(EXTENDED < 1, reason="set PARITYCA_EXTENDED=1 for the cycling tables")
+@pytest.mark.parametrize("variant", CYCLING_TABLES)
+def test_checker_matches_the_report_checker_on_cycling_tables(variant):
+    for n in (7, 9, 11):
+        assert_checker_matches_the_report_checker(CHECKER_TABLES[variant], n, (None,))
+
+
+def test_checker_matches_the_report_checker_on_the_reference_pool():
+    # The corrected rule's outputs on these rings are pinned by digest in
+    # tests/test_perfbench.py.
+    pool = json.loads((ROOT / "perfbench" / "reference.json").read_text())["single-config"]
+    assert len(pool) == 896
+    flagged = 0
+    for text in pool:
+        x = L.parse(text)
+        violations = V.check_trajectory_invariants(ORIG, x)
+        assert violations == golden.check_trajectory_invariants_by_reports(ORIG, x), text
+        flagged += len(violations)
+    assert flagged
 
 
 def test_violation_lists_are_bounded_by_the_configurations():
