@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .lattice import Configuration
 from .rule import RuleTable
@@ -20,6 +21,10 @@ def default_budget(n: int, budget: int | None = None) -> int:
     return budget
 
 
+# ``step`` keeps its last 1,024 results: enough for one whole trajectory
+# (a 1,001-cell ring converges in about 500 steps), and a fixed bound however
+# many rings a process steps.
+@lru_cache(maxsize=1024)
 def step(rule: RuleTable, x: Configuration) -> Configuration:
     """One synchronous update: every cell reads its nine-cell window.
 
@@ -29,6 +34,10 @@ def step(rule: RuleTable, x: Configuration) -> Configuration:
     is indexed: one lookup per cell. Indices wrap modulo n; for n < 9 a
     cell may appear several times in one window, which is exactly the
     behaviour of the concatenated lift.
+
+    Results are memoized by the whole ``(rule, x)`` pair, the table's
+    outputs included, so ``evolve``, ``space_time`` and the law checker,
+    which walk the same trajectory, compute each of its states once.
     """
     n = x.n
     text = str(x) * (8 // n + 3)

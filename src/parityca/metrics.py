@@ -71,18 +71,13 @@ class OrderedBlock:
 
 
 def find_pattern(x: Configuration, pattern: str) -> list[int]:
-    """Start positions (mod n) where the '0'/'1' pattern occurs, ascending."""
-    return _starts(str(x), pattern)
+    """Start positions (mod n) where the '0'/'1' pattern occurs, ascending.
 
-
-def _starts(text: str, pattern: str) -> list[int]:
-    """``find_pattern`` on the ring whose text is ``text``.
-
-    The text is repeated until every start p < n can be read in full,
-    and ``str.find`` is held to the window of such starts.
+    The ring text is repeated until every start p < n can be read in
+    full, and ``str.find`` is held to the window of such starts.
     """
-    n = len(text)
-    ring = text * (len(pattern) // n + 2)
+    n = x.n
+    ring = str(x) * (len(pattern) // n + 2)
     end = n + len(pattern) - 1
     found = []
     p = ring.find(pattern, 0, end)
@@ -97,6 +92,28 @@ def find_boxes(x: Configuration) -> list[int]:
     return [(p + 1) % x.n for p in find_pattern(x, BOX)]
 
 
+def _repeat(x: Configuration, copies: int) -> int:
+    """The ring as one integer of ``copies`` copies: cell i + j*n is bit i + j*n."""
+    return x.bits * (((1 << (x.n * copies)) - 1) // ((1 << x.n) - 1))
+
+
+def _pattern_mask(ring: int, cells: tuple[tuple[int, bool], ...], within: int) -> int:
+    """The set bits p of ``within`` where bit p + k of ``ring`` is 1 iff cell k is."""
+    rings = (~ring, ring)
+    for k, one in cells:
+        within &= rings[one] >> k
+    return within
+
+
+def _cells(pattern: str) -> tuple[tuple[int, bool], ...]:
+    """(k, whether cell k is 1) for each cell of a '0'/'1' pattern: ``_pattern_mask``'s form."""
+    return tuple((k, cell == "1") for k, cell in enumerate(pattern))
+
+
+_BOX_CELLS = _cells(BOX)
+_MERGE_SITE_CELLS = tuple(_cells(pattern) for pattern in MERGE_SITES)
+
+
 def _switch_gaps(x: Configuration) -> tuple[int, int]:
     """The regular and the block switch gaps of x, as two n-bit masks.
 
@@ -109,10 +126,8 @@ def _switch_gaps(x: Configuration) -> tuple[int, int]:
     """
     n = x.n
     mask = (1 << n) - 1
-    ring = x.bits * (((1 << (n * (3 // n + 3))) - 1) // mask)
-    box = mask
-    for k, cell in enumerate(BOX, n - 1):
-        box &= ring >> k if cell == "1" else ~(ring >> k)
+    ring = _repeat(x, 3 // n + 3)
+    box = _pattern_mask(ring >> (n - 1), _BOX_CELLS, mask)
     block = (box >> 1) | ((box & 1) << (n - 1))
     near = block | (block << 1) | (block << 2)
     regular = (x.bits ^ (ring >> (n + 1))) & ~(near | (near >> n)) & mask
@@ -189,14 +204,17 @@ def merge_events(x: Configuration, y: Configuration) -> int:
     A site is a D12 or D34 occurrence (``MERGE_SITES``); its 00 pair
     flips to 11, and the blocks merge precisely when the cell just after
     the site still holds 1 in the image, so the image cell is what gets
-    tested.
+    tested: each site's starts are read as one mask over the ring as an
+    integer, within the mask of y rotated so that bit p holds cell p+5.
     """
-    text = str(x)
+    n = x.n
+    mask = (1 << n) - 1
+    ring = _repeat(x, 3 // n + 2)
+    after = 5 % n
+    bridge = ((y.bits >> after) | (y.bits << (n - after))) & mask
     count = 0
-    for pattern in MERGE_SITES:
-        for p in _starts(text, pattern):
-            if y.cell(p + 5):
-                count += 1
+    for cells in _MERGE_SITE_CELLS:
+        count += _pattern_mask(ring, cells, bridge).bit_count()
     return count
 
 

@@ -6,8 +6,9 @@ ordered-block samples come from the published annotated configurations.
 ``necklace_count`` is the closed-form count the necklace sweeps must hit.
 The helpers at the end are plain oracles that only the tests need:
 pattern matching of one neighbourhood code, the active codes of a rule
-table, the candidate-by-candidate ordered-block scan, and concatenation
-powers of a configuration. The two checks after
+table, the candidate-by-candidate ordered-block scan, the merge events
+counted from a text scan of each merge site, and concatenation powers
+of a configuration. The two checks after
 them sweep every ring of one size: the rule-independent properties of
 rings and of the step kernel, and the step laws that the per-trajectory
 reference checker finds on each ring itself, which the sweep's law check
@@ -198,6 +199,20 @@ def ordered_blocks_scan(x):
 
 class EvenPower(lattice.ConfigurationError):
     """Concatenation powers must be odd to keep the length odd."""
+
+
+def merge_events_by_text(x, y):
+    """``metrics.merge_events`` by scanning the ring text for each merge site.
+
+    Each start p of a ``metrics.MERGE_SITES`` pattern in x counts when y
+    holds 1 at cell p + 5, just after the site.
+    """
+    count = 0
+    for pattern in metrics.MERGE_SITES:
+        for p in metrics.find_pattern(x, pattern):
+            if y.cell(p + 5):
+                count += 1
+    return count
 
 
 def concat_power(x, k):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from parityca import engine as E
 from parityca import lattice as L
+from parityca import verifier
 from parityca.rule import CORRECTED, ORIGINAL, TABLE_SIZE, RuleTable, build_rule_table
 import golden
 
@@ -57,6 +58,37 @@ def test_step_against_window_oracle_beyond_the_kernel_width(rule):
             assert E.step(rule, x) == window_oracle(rule, x)
 
 
+def test_step_memo_keys_on_the_whole_table():
+    # A table with the corrected rule's name and all-zero outputs must not
+    # be served the corrected rule's memoized steps, nor the reverse.
+    zeros = RuleTable(CORRECTED, bytes(TABLE_SIZE))
+    x = L.parse(golden.SAMPLE19_ROWS[0])
+    assert window_oracle(zeros, x) != window_oracle(CORR, x)
+    for rule in (CORR, zeros, CORR):
+        assert E.step(rule, x) == window_oracle(rule, x)
+
+
+def test_each_state_of_a_trajectory_is_stepped_once():
+    x = L.Configuration(63, random.Random(63).getrandbits(63))
+    E.step.cache_clear()
+    outcome = E.evolve(CORR, x)
+    misses = E.step.cache_info().misses
+    assert misses == outcome.t0 + 1
+    E.space_time(CORR, x, outcome.t0)
+    verifier.check_trajectory_invariants(CORR, x)
+    assert E.step.cache_info().misses == misses
+
+
+def test_step_memo_stays_bounded():
+    E.step.cache_clear()
+    maxsize = E.step.cache_info().maxsize
+    for bits in range(maxsize + 100):
+        E.step(CORR, L.Configuration(21, bits))
+    info = E.step.cache_info()
+    assert info.misses == maxsize + 100
+    assert info.currsize <= maxsize
+
+
 def test_single_steps_match_the_published_rows():
     assert trajectory(CORR, golden.FAULTY, 1)[1] == golden.FAULTY_ROWS_CORRECTED[1]
     assert trajectory(ORIG, golden.FAULTY, 1)[1] == golden.FAULTY_ROWS_ORIGINAL[1]
@@ -86,6 +118,14 @@ def test_original_rule_cycles_on_the_faulty_configuration():
     assert outcome.displacement_steps == 1
     assert outcome.displacement == 4
     assert E.step(ORIG, x) == L.rotate(x, 4)
+
+
+def test_the_glider_is_a_rotation_of_itself_for_100000_steps():
+    # Entry 0, period 13, and a shift of four cells on every step.
+    x = L.parse(golden.FAULTY)
+    diagram = E.space_time(ORIG, x, 100_000)
+    assert diagram.height == 100_001
+    assert all(row == L.rotate(x, 4 * t) for t, row in enumerate(diagram.rows))
 
 
 def test_sample_trajectory_converges_at_27():

@@ -245,6 +245,30 @@ def test_merge_requires_the_bridge_to_survive_the_update():
     assert M.switches(y).s == M.switches(x).s  # and indeed nothing decreased
 
 
+@pytest.mark.parametrize("n", range(1, 8, 2))
+def test_merge_events_against_the_text_scan_on_every_pair(n):
+    # y need not be the image of x: the mask form must read any ring pair.
+    rings = [L.Configuration(n, bits) for bits in range(1 << n)]
+    for x in rings:
+        for y in rings:
+            assert M.merge_events(x, y) == golden.merge_events_by_text(x, y)
+
+
+def test_merge_events_against_the_text_scan_on_every_step_exhaustive():
+    for n in range(1, 16, 2):
+        for bits in range(1 << n):
+            x = L.Configuration(n, bits)
+            y = E.step(CORR, x)
+            assert M.merge_events(x, y) == golden.merge_events_by_text(x, y)
+
+
+@given(wide_configs, st.randoms(use_true_random=False))
+@settings(max_examples=60)
+def test_merge_events_against_the_text_scan_on_wide_rings(x, rng):
+    for y in (E.step(CORR, x), L.Configuration(x.n, rng.getrandbits(x.n))):
+        assert M.merge_events(x, y) == golden.merge_events_by_text(x, y)
+
+
 def test_ordered_block_goldens_combined_sample():
     x = L.parse(golden.ORDERED_CONFIG_A)
     found = {(b.start, b.length) for b in M.ordered_blocks(x)}
