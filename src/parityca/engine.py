@@ -148,28 +148,26 @@ def render_text(diagram: SpaceTimeDiagram) -> str:
 
 def render_pbm(diagram: SpaceTimeDiagram) -> str:
     """Plain PBM (P1); cell value 1 is rendered black."""
+    # A cycle or a fixed point repeats the same few rows: format each once.
+    text: dict[Configuration, str] = {}
     lines = [f"P1\n{diagram.width} {diagram.height}"]
     for row in diagram.rows:
-        lines.append(" ".join(str(row)))
+        line = text.get(row)
+        if line is None:
+            line = text[row] = " ".join(str(row))
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
+_KINDS = {Converged: "converged", Cycle: "cycle", BudgetExceeded: "budget_exceeded"}
+
+
 def outcome_json(outcome: Outcome) -> dict:
+    """The outcome's kind, then its fields in order, the fixed point as text."""
+    out = {"kind": _KINDS[type(outcome)], **vars(outcome)}
     if isinstance(outcome, Converged):
-        return {
-            "kind": "converged",
-            "fixed_point": str(outcome.fixed_point),
-            "t0": outcome.t0,
-        }
-    if isinstance(outcome, Cycle):
-        return {
-            "kind": "cycle",
-            "entry": outcome.entry,
-            "period": outcome.period,
-            "displacement": outcome.displacement,
-            "displacement_steps": outcome.displacement_steps,
-        }
-    return {"kind": "budget_exceeded", "steps": outcome.steps}
+        out["fixed_point"] = str(outcome.fixed_point)
+    return out
 
 
 def trajectory_json(rule: RuleTable, diagram: SpaceTimeDiagram, outcome: Outcome) -> dict:

@@ -73,12 +73,19 @@ def is_homogeneous(x: Configuration) -> bool:
     return x.bits == 0 or x.bits == (1 << x.n) - 1
 
 
-def rotate(x: Configuration, k: int) -> Configuration:
-    """Rotation: cell i of the result is cell (i + k) mod n of x."""
-    n = x.n
+def rotl(bits, k: int, n: int):
+    """bit i of the result = bit (i + k) mod n of bits, an n-bit ring.
+
+    ``bits`` is a Python int below 2^n or a uint64 array of such rings
+    (n <= 63): NumPy casts the Python-int operands to the array's uint64,
+    and the bits the left shift carries past bit 63 all lie above the mask.
+    """
     k %= n
     if k == 0:
-        return x
-    mask = (1 << n) - 1
-    bits = ((x.bits >> k) | (x.bits << (n - k))) & mask
-    return Configuration(n=n, bits=bits)
+        return bits
+    return ((bits >> k) | (bits << (n - k))) & ((1 << n) - 1)
+
+
+def rotate(x: Configuration, k: int) -> Configuration:
+    """Rotation: cell i of the result is cell (i + k) mod n of x."""
+    return Configuration(n=x.n, bits=rotl(x.bits, k, x.n))

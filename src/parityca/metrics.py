@@ -33,7 +33,7 @@ DOMAINS = (
 )
 
 # The most cells any row of ``DOMAINS`` reads from its start.
-_DOMAIN_REACH = max(len(pattern) for _, *row in DOMAINS for pattern in row)
+DOMAIN_REACH = max(len(pattern) for _, *row in DOMAINS for pattern in row)
 
 # Domains that strictly lower the switch count in one step (plus merges).
 REDUCING_KINDS = frozenset({"D56r", "D78r", "D910r", "D912r"})
@@ -42,6 +42,8 @@ REDUCING_KINDS = frozenset({"D56r", "D78r", "D910r", "D912r"})
 # and their patterns, the update sites that ``merge_events`` reads.
 MERGE_KINDS = frozenset({"D12", "D34"})
 MERGE_SITES = tuple(pattern for kind, pattern, _ in DOMAINS if kind in MERGE_KINDS)
+# The cell just after a merge site, whose image decides whether blocks merge.
+(MERGE_BRIDGE,) = {len(pattern) for pattern in MERGE_SITES}
 
 
 @dataclass(frozen=True)
@@ -88,8 +90,8 @@ def find_pattern(x: Configuration, pattern: str) -> list[int]:
 
 
 def find_boxes(x: Configuration) -> list[int]:
-    """Positions i where cells (i, i+1) read 01 preceded by 1 and followed by 00."""
-    return [(p + 1) % x.n for p in find_pattern(x, BOX)]
+    """Ascending positions i where cells (i, i+1) read 01, after 1 and before 00."""
+    return sorted((p + 1) % x.n for p in find_pattern(x, BOX))
 
 
 def _repeat(x: Configuration, copies: int) -> int:
@@ -128,6 +130,7 @@ def _switch_gaps(x: Configuration) -> tuple[int, int]:
     mask = (1 << n) - 1
     ring = _repeat(x, 3 // n + 3)
     box = _pattern_mask(ring >> (n - 1), _BOX_CELLS, mask)
+    # Inline, not lattice.rotl: a call adds 2-10% to switch_count, run per state.
     block = (box >> 1) | ((box & 1) << (n - 1))
     near = block | (block << 1) | (block << 2)
     regular = (x.bits ^ (ring >> (n + 1))) & ~(near | (near >> n)) & mask
@@ -172,7 +175,7 @@ def _domain_hits(x: Configuration, first_only: bool = False):
     """
     text = str(x)
     n = len(text)
-    ring = text * ((_DOMAIN_REACH - 1) // n + 2)
+    ring = text * ((DOMAIN_REACH - 1) // n + 2)
     for kind, pattern, unless in DOMAINS:
         end = n + len(pattern) - 1
         p = ring.find(pattern, 0, end)
@@ -205,12 +208,13 @@ def merge_events(x: Configuration, y: Configuration) -> int:
     flips to 11, and the blocks merge precisely when the cell just after
     the site still holds 1 in the image, so the image cell is what gets
     tested: each site's starts are read as one mask over the ring as an
-    integer, within the mask of y rotated so that bit p holds cell p+5.
+    integer, within y rotated so that bit p holds cell p + ``MERGE_BRIDGE``.
     """
     n = x.n
     mask = (1 << n) - 1
     ring = _repeat(x, 3 // n + 2)
-    after = 5 % n
+    after = MERGE_BRIDGE % n
+    # Rotated inline, as in _switch_gaps: the law checker runs this per step.
     bridge = ((y.bits >> after) | (y.bits << (n - after))) & mask
     count = 0
     for cells in _MERGE_SITE_CELLS:
@@ -251,16 +255,21 @@ def ordered_blocks(x: Configuration) -> list[OrderedBlock]:
                 lengths.append(length)
         if lengths:
             found[start] = lengths
+    # reach[start], the longest cover another start gives it, is a running
+    # maximum less the gap to each next start, twice round the ring. It may
+    # hold its own cover from a lap back, at most (n + 1) - n, below any block.
+    reach = {}
+    cover = last = 0
+    for at in [*found, *(start + n for start in found)]:
+        cover -= at - last
+        last = at
+        reach[at % n] = cover
+        cover = max(cover, found[at % n][-1])
     out = []
     for start, lengths in found.items():
         longest = lengths[-1]
-        # The longest cover from another start, counted from this start.
-        reach = max(
-            (other[-1] - (start - s) % n for s, other in found.items() if s != start),
-            default=0,
-        )
         for length in lengths:
-            maximal = length == longest and length > reach
+            maximal = length == longest and length > reach[start]
             out.append(OrderedBlock(start=start, length=length, maximal=maximal))
     return out
 
@@ -289,6 +298,7 @@ def annotate(x: Configuration) -> str:
 
 
 def report_json(x: Configuration) -> dict:
+    # Literal per-record dicts: half the cost of dict(vars(r)) on every report.
     report = switches(x)
     return {
         "config": str(x),

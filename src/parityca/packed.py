@@ -31,6 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import metrics
+from .lattice import rotl
 from .rule import RuleTable
 
 # The widest ring one uint64 holds for batch_step.
@@ -62,18 +63,6 @@ def lut64(rule: RuleTable) -> np.ndarray:
 
 def mask_of(n: int) -> np.uint64:
     return _U((1 << n) - 1)
-
-
-def rotl(v: np.ndarray, k: int, n: int) -> np.ndarray:
-    """bit i of the result = bit (i + k) mod n of v.
-
-    The left shift may carry bits past position 63; uint64 arithmetic
-    drops them and they are all above the n-bit mask anyway.
-    """
-    k %= n
-    if k == 0:
-        return v
-    return ((v >> _U(k)) | (v << _U(n - k))) & mask_of(n)
 
 
 def parity_bits(v: np.ndarray) -> np.ndarray:
@@ -159,8 +148,7 @@ def switch_counts(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def domain_masks(c: np.ndarray, n: int) -> dict[str, np.ndarray]:
     """Start-position masks for every kind of ``metrics.DOMAINS``."""
-    width = max(len(unless or pattern) for _, pattern, unless in metrics.DOMAINS)
-    cells = [rotl(c, k, n) for k in range(width)]
+    cells = [rotl(c, k, n) for k in range(metrics.DOMAIN_REACH)]
     mask = mask_of(n)
     out: dict[str, np.ndarray] = {}
     for kind, pattern, unless in metrics.DOMAINS:
@@ -176,7 +164,7 @@ def merge_mask(c: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     sites = np.zeros_like(c)
     for pattern in metrics.MERGE_SITES:
         sites |= match_mask(c, n, pattern)
-    return sites & rotl(y, 5, n)
+    return sites & rotl(y, metrics.MERGE_BRIDGE, n)
 
 
 @lru_cache(maxsize=8)

@@ -136,15 +136,7 @@ class VerificationReport:
                 {"config": str(ce.config), "outcome": engine.outcome_json(ce.outcome)}
                 for ce in self.counterexamples()
             ],
-            "violations": [
-                {
-                    "invariant": v.invariant,
-                    "witness": v.witness,
-                    "step": v.step,
-                    "detail": v.detail,
-                }
-                for v in self.violations
-            ],
+            "violations": [dict(vars(v)) for v in self.violations],
         }
 
 

@@ -227,6 +227,27 @@ def test_render_pbm_format():
     assert text.endswith("\n")
 
 
+def test_render_pbm_of_the_glider_is_the_per_row_join():
+    diagram = E.space_time(ORIG, L.parse(golden.FAULTY), 1_000)
+    rows = "\n".join(" ".join(str(row)) for row in diagram.rows)
+    assert E.render_pbm(diagram) == f"P1\n13 1001\n{rows}\n"
+
+
+def test_outcome_json_keeps_the_key_order_of_each_kind():
+    fixed = L.parse("0" * 13)
+    docs = [
+        E.outcome_json(E.Converged(fixed_point=fixed, t0=13)),
+        E.outcome_json(E.Cycle(entry=0, period=13, displacement=4, displacement_steps=1)),
+        E.outcome_json(E.BudgetExceeded(steps=5)),
+    ]
+    assert [list(doc.items()) for doc in docs] == [
+        [("kind", "converged"), ("fixed_point", "0" * 13), ("t0", 13)],
+        [("kind", "cycle"), ("entry", 0), ("period", 13), ("displacement", 4),
+         ("displacement_steps", 1)],
+        [("kind", "budget_exceeded"), ("steps", 5)],
+    ]
+
+
 def test_trajectory_json_roundtrip():
     x = L.parse(golden.FAULTY)
     outcome = E.evolve(CORR, x)

@@ -58,6 +58,19 @@ def test_rotate_examples():
     assert str(L.rotate(x, 1)) == s[1:] + s[:1] == "0011101010010"
 
 
+def per_cell_rotation(bits, k, n):
+    """bit i is bit (i + k) mod n of bits, cell by cell."""
+    return sum(((bits >> ((i + k) % n)) & 1) << i for i in range(n))
+
+
+def test_rotl_matches_the_per_cell_definition_on_ints_up_to_1001_cells():
+    rng = random.Random(23)
+    for n in (1, 2, 3, 13, 63, 64, 65, 127, 1001):
+        for bits in (0, (1 << n) - 1, 1, 1 << (n - 1), rng.getrandbits(n)):
+            for k in (-2 * n, -n - 1, -n, -1, 0, 1, rng.randrange(n), n, n + 1, 2 * n):
+                assert L.rotl(bits, k, n) == per_cell_rotation(bits, k, n)
+
+
 def test_concat_power_examples():
     assert str(concat_power(L.parse("101"), 3)) == "101101101"
     x = L.parse("10100")

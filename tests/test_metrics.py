@@ -98,6 +98,7 @@ def test_switches_against_gap_oracle_exhaustive():
             report = M.switches(x)
             assert [(sw.pos, sw.kind) for sw in report.switches] == switch_oracle(x)
             assert M.switch_count(x) == report.s == len(report.switches)
+            assert M.find_boxes(x) == list(report.boxes)
 
 
 def test_switches_against_gap_oracle_on_wide_rings():
@@ -126,7 +127,7 @@ def test_switch_count_is_the_switch_report_count_on_wide_rings(x):
 def test_switches_at_the_seam(text, boxes, gaps):
     x = L.parse(text)
     report = M.switches(x)
-    assert list(report.boxes) == boxes
+    assert list(report.boxes) == boxes == M.find_boxes(x)
     assert [(sw.pos, sw.kind) for sw in report.switches] == gaps == switch_oracle(x)
     assert M.switch_count(x) == len(gaps)
 
@@ -312,12 +313,24 @@ def test_ordered_blocks_may_wrap_and_revisit_one_cell():
     assert max(b.length for b in M.ordered_blocks(x)) == len(x) + 1
 
 
-@pytest.mark.parametrize("n", range(1, 14, 2))
+@pytest.mark.parametrize("n", range(1, 16, 2))
 def test_ordered_blocks_match_the_candidate_scan_exhaustively(n):
     for bits in range(1 << n):
         x = L.Configuration(n, bits)
         blocks = [(b.start, b.length, b.maximal) for b in M.ordered_blocks(x)]
         assert blocks == golden.ordered_blocks_scan(x)
+
+
+def test_ordered_blocks_match_the_candidate_scan_on_wide_rings():
+    # Rings of aligned 00, 01 and 11 pairs hold long blocks that cover each
+    # other; uniform random rings hold short ones.
+    rng = random.Random(63)
+    for n in range(63, 102, 2):
+        pairs = "".join(rng.choice(("00", "01", "01", "11")) for _ in range(n // 2))
+        for text in (pairs + rng.choice("01"), str(L.Configuration(n, rng.getrandbits(n)))):
+            x = L.parse(text)
+            blocks = [(b.start, b.length, b.maximal) for b in M.ordered_blocks(x)]
+            assert blocks == golden.ordered_blocks_scan(x)
 
 
 def test_report_json_on_a_1001_cell_ring():

@@ -236,6 +236,22 @@ def test_domain_variants_partition_their_base_exhaustively(n):
         assert (union == base).all()
 
 
+def test_rotl_is_the_lattice_rotation():
+    assert P.rotl is L.rotl
+
+
+def test_rotl_matches_the_per_cell_definition_at_every_width():
+    for n in range(1, P.MAX_N + 1):
+        edges = np.array([0, (1 << n) - 1, 1, 1 << (n - 1)], dtype=np.uint64)
+        c = np.concatenate((edges, sample_configs(n, 12, seed=n)))
+        cells = (c >> np.arange(n, dtype=np.uint64)[:, None]) & np.uint64(1)
+        weights = np.uint64(1) << np.arange(n, dtype=np.uint64)[:, None]
+        for k in range(-2 * n, 2 * n + 1):
+            # bit i of the rotation is cell (i + k) mod n
+            expected = (cells[(np.arange(n) + k) % n] * weights).sum(axis=0, dtype=np.uint64)
+            assert (P.rotl(c, k, n) == expected).all(), (n, k)
+
+
 def test_rotl_matches_lattice_rotation():
     for n in (3, 7, 13, 29):
         c = sample_configs(n, 50, seed=n)
