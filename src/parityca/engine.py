@@ -148,14 +148,9 @@ def render_text(diagram: SpaceTimeDiagram) -> str:
 
 def render_pbm(diagram: SpaceTimeDiagram) -> str:
     """Plain PBM (P1); cell value 1 is rendered black."""
-    # A cycle or a fixed point repeats the same few rows: format each once.
-    text: dict[Configuration, str] = {}
     lines = [f"P1\n{diagram.width} {diagram.height}"]
     for row in diagram.rows:
-        line = text.get(row)
-        if line is None:
-            line = text[row] = " ".join(str(row))
-        lines.append(line)
+        lines.append(" ".join(str(row)))
     return "\n".join(lines) + "\n"
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import Configuration
+from .lattice import Configuration, rotl
 
 # A box is the pair 01 at p+1, preceded by 1 and followed by 00.
 BOX = "10100"
@@ -130,8 +130,7 @@ def _switch_gaps(x: Configuration) -> tuple[int, int]:
     mask = (1 << n) - 1
     ring = _repeat(x, 3 // n + 3)
     box = _pattern_mask(ring >> (n - 1), _BOX_CELLS, mask)
-    # Inline, not lattice.rotl: a call adds 2-10% to switch_count, run per state.
-    block = (box >> 1) | ((box & 1) << (n - 1))
+    block = rotl(box, 1, n)
     near = block | (block << 1) | (block << 2)
     regular = (x.bits ^ (ring >> (n + 1))) & ~(near | (near >> n)) & mask
     return regular, block
@@ -210,12 +209,8 @@ def merge_events(x: Configuration, y: Configuration) -> int:
     tested: each site's starts are read as one mask over the ring as an
     integer, within y rotated so that bit p holds cell p + ``MERGE_BRIDGE``.
     """
-    n = x.n
-    mask = (1 << n) - 1
-    ring = _repeat(x, 3 // n + 2)
-    after = MERGE_BRIDGE % n
-    # Rotated inline, as in _switch_gaps: the law checker runs this per step.
-    bridge = ((y.bits >> after) | (y.bits << (n - after))) & mask
+    ring = _repeat(x, 3 // x.n + 2)
+    bridge = rotl(y.bits, MERGE_BRIDGE, x.n)
     count = 0
     for cells in _MERGE_SITE_CELLS:
         count += _pattern_mask(ring, cells, bridge).bit_count()
@@ -298,16 +293,12 @@ def annotate(x: Configuration) -> str:
 
 
 def report_json(x: Configuration) -> dict:
-    # Literal per-record dicts: half the cost of dict(vars(r)) on every report.
     report = switches(x)
     return {
         "config": str(x),
         "s": report.s,
-        "switches": [{"pos": sw.pos, "kind": sw.kind} for sw in report.switches],
+        "switches": [dict(vars(sw)) for sw in report.switches],
         "boxes": list(report.boxes),
-        "domains": [{"kind": h.kind, "pos": h.pos} for h in find_domains(x)],
-        "ordered_blocks": [
-            {"start": b.start, "length": b.length, "maximal": b.maximal}
-            for b in ordered_blocks(x)
-        ],
+        "domains": [dict(vars(h)) for h in find_domains(x)],
+        "ordered_blocks": [dict(vars(b)) for b in ordered_blocks(x)],
     }

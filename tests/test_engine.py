@@ -227,12 +227,6 @@ def test_render_pbm_format():
     assert text.endswith("\n")
 
 
-def test_render_pbm_of_the_glider_is_the_per_row_join():
-    diagram = E.space_time(ORIG, L.parse(golden.FAULTY), 1_000)
-    rows = "\n".join(" ".join(str(row)) for row in diagram.rows)
-    assert E.render_pbm(diagram) == f"P1\n13 1001\n{rows}\n"
-
-
 def test_outcome_json_keeps_the_key_order_of_each_kind():
     fixed = L.parse("0" * 13)
     docs = [
