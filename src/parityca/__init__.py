@@ -36,9 +36,7 @@ from .metrics import (
     SwitchReport,
     annotate,
     domain_kinds,
-    find_boxes,
     find_domains,
-    find_pattern,
     merge_events,
     ordered_blocks,
     switch_count,

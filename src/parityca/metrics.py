@@ -72,28 +72,6 @@ class OrderedBlock:
     maximal: bool
 
 
-def find_pattern(x: Configuration, pattern: str) -> list[int]:
-    """Start positions (mod n) where the '0'/'1' pattern occurs, ascending.
-
-    The ring text is repeated until every start p < n can be read in
-    full, and ``str.find`` is held to the window of such starts.
-    """
-    n = x.n
-    ring = str(x) * (len(pattern) // n + 2)
-    end = n + len(pattern) - 1
-    found = []
-    p = ring.find(pattern, 0, end)
-    while p >= 0:
-        found.append(p)
-        p = ring.find(pattern, p + 1, end)
-    return found
-
-
-def find_boxes(x: Configuration) -> list[int]:
-    """Ascending positions i where cells (i, i+1) read 01, after 1 and before 00."""
-    return sorted((p + 1) % x.n for p in find_pattern(x, BOX))
-
-
 def _repeat(x: Configuration, copies: int) -> int:
     """The ring as one integer of ``copies`` copies: cell i + j*n is bit i + j*n."""
     return x.bits * (((1 << (x.n * copies)) - 1) // ((1 << x.n) - 1))
@@ -120,20 +98,29 @@ def _switch_gaps(x: Configuration) -> tuple[int, int]:
     """The regular and the block switch gaps of x, as two n-bit masks.
 
     Bit i names the gap between cells i and i+1. A block switch at i
-    marks a box starting at i+1. A regular switch at i requires differing
-    cells with neither of them belonging to a box pair, that is no block
-    switch at i, i-1 or i-2; so no gap is both. The ring is read as one
-    integer of enough copies that cell i+k, for -1 <= k <= 3, is bit
-    i+k+n.
+    marks a box starting at i+1, so the block gaps are the starts of
+    ``BOX``. A regular switch at i requires differing cells with neither
+    of them belonging to a box pair, that is no block switch at i, i-1
+    or i-2; so no gap is both. The ring is read as one integer of enough
+    copies that cell i+k, for 0 <= k <= 4, is bit i+k.
     """
     n = x.n
     mask = (1 << n) - 1
-    ring = _repeat(x, 3 // n + 3)
-    box = _pattern_mask(ring >> (n - 1), _BOX_CELLS, mask)
-    block = rotl(box, 1, n)
+    ring = _repeat(x, 4 // n + 2)
+    block = _pattern_mask(ring, _BOX_CELLS, mask)
     near = block | (block << 1) | (block << 2)
-    regular = (x.bits ^ (ring >> (n + 1))) & ~(near | (near >> n)) & mask
+    regular = (x.bits ^ (ring >> 1)) & ~(near | (near >> n)) & mask
     return regular, block
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    found = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        found.append(low.bit_length() - 1)
+    return found
 
 
 def switch_count(x: Configuration) -> int:
@@ -146,22 +133,14 @@ def switches(x: Configuration) -> SwitchReport:
     """Classify every gap of the ring as a regular switch, block switch or neither.
 
     The gaps are those of ``_switch_gaps``, in order of position. s is
-    the total count; s = 0 exactly on homogeneous rings.
+    the total count; s = 0 exactly on homogeneous rings. The boxes, at
+    the positions i where cells (i, i+1) read 01 after 1 and before 00,
+    lie one cell past their block switches.
     """
-    n = x.n
     regular, block = _switch_gaps(x)
-    found = []
-    gaps = regular | block
-    while gaps:
-        low = gaps & -gaps
-        gaps ^= low
-        found.append(Switch(pos=low.bit_length() - 1, kind="b" if block & low else "r"))
-    boxes = []
-    while block:
-        low = block & -block
-        block ^= low
-        boxes.append(low.bit_length() % n)
-    return SwitchReport(switches=tuple(found), boxes=tuple(sorted(boxes)), s=len(found))
+    found = [Switch(i, "b" if block >> i & 1 else "r") for i in _set_bits(regular | block)]
+    boxes = _set_bits(rotl(block, -1, x.n))
+    return SwitchReport(switches=tuple(found), boxes=tuple(boxes), s=len(found))
 
 
 def _domain_hits(x: Configuration, first_only: bool = False):
@@ -218,55 +197,54 @@ def merge_events(x: Configuration, y: Configuration) -> int:
 
 
 def ordered_blocks(x: Configuration) -> list[OrderedBlock]:
-    """Every ordered block, flagged with maximality.
+    """Every ordered block, flagged with maximality, by start then length.
 
     An ordered block is an even run of aligned pairs from {00, 01, 11}
     that starts with 01, does not end with 01, and whose trailing 11 (if
-    any) is followed by 0. Blocks may wrap and revisit one cell, so the
-    scan covers lengths up to n+1; longer candidates are provably
-    impossible and scanning them is a cheap structural self-check.
+    any) is followed by 0. Blocks may wrap and revisit one cell, so
+    lengths up to n+1 occur; a longer block is provably impossible and
+    raises, a cheap structural self-check.
 
-    Each 01 start reads its aligned pairs once and stops at the first 10
-    pair, which every longer candidate would contain. A block is maximal
-    when it is the longest from its start and no longer block from
-    another start reaches over it.
+    Since n is odd, the aligned pairs from one 10 pair, read as the ring
+    twice over, run once through every cell. They are walked backwards
+    with the ends met since the last 10: each 01 start reaches exactly
+    those. A start reaches every end of each later start before the next
+    10, so the longest block of the first start after a 10 covers every
+    block up to the next 10 and is the only maximal one among them; no
+    block covers another at an odd offset.
     """
     n = x.n
-    ring = str(x) * 3
-    found: dict[int, list[int]] = {}
-    for start in range(n):
-        if ring[start:start + 2] != "01":
-            continue
-        lengths = []
-        for length in range(4, 2 * n - 1, 2):
-            pair = ring[start + length - 2:start + length]
-            if pair == "10":
-                break
-            if pair == "00" or (pair == "11" and ring[start + length] == "0"):
-                if length > n + 1:
+    text = str(x)
+    p = (text + text[0]).find("10")
+    if p < 0:
+        return []
+    # Cell p + k of the ring is line[k]; the pair at k = 0 is the 10.
+    line = (text * 3)[p:p + 2 * n + 1]
+    found = {}
+    maximal = set()
+    ends: list[int] = []
+    first = None  # (start, longest length) of the latest start met in this stretch
+    for k in range(2 * n - 2, -1, -2):
+        pair = line[k:k + 2]
+        if pair == "10":
+            if first:
+                maximal.add(first)
+            ends, first = [], None
+        elif pair == "01":
+            if ends:
+                if ends[0] - k > n + 1:
                     raise RuntimeError(
-                        f"ordered block of length {length} exceeds the {n + 1} bound"
+                        f"ordered block of length {ends[0] - k} exceeds the {n + 1} bound"
                     )
-                lengths.append(length)
-        if lengths:
-            found[start] = lengths
-    # reach[start], the longest cover another start gives it, is a running
-    # maximum less the gap to each next start, twice round the ring. It may
-    # hold its own cover from a lap back, at most (n + 1) - n, below any block.
-    reach = {}
-    cover = last = 0
-    for at in [*found, *(start + n for start in found)]:
-        cover -= at - last
-        last = at
-        reach[at % n] = cover
-        cover = max(cover, found[at % n][-1])
-    out = []
-    for start, lengths in found.items():
-        longest = lengths[-1]
-        for length in lengths:
-            maximal = length == longest and length > reach[start]
-            out.append(OrderedBlock(start=start, length=length, maximal=maximal))
-    return out
+                first = (p + k) % n, ends[0] - k
+                found[first[0]] = [end - k for end in reversed(ends)]
+        elif pair == "00" or line[k + 2] == "0":  # 00, or 11 followed by 0
+            ends.append(k + 2)
+    return [
+        OrderedBlock(start=start, length=length, maximal=(start, length) in maximal)
+        for start, lengths in sorted(found.items())
+        for length in lengths
+    ]
 
 
 def annotate(x: Configuration) -> str:

@@ -5,7 +5,8 @@ from the published reference diagrams for this rule family; the
 ordered-block samples come from the published annotated configurations.
 ``necklace_count`` is the closed-form count the necklace sweeps must hit.
 The helpers at the end are plain oracles that only the tests need:
-pattern matching of one neighbourhood code, the active codes of a rule
+the start-by-start pattern scan of a ring, pattern matching of one
+neighbourhood code, the active codes of a rule
 table, the candidate-by-candidate ordered-block scan, the merge events
 counted from a text scan of each merge site, and concatenation powers
 of a configuration. The two checks after
@@ -136,6 +137,16 @@ def necklace_count(n):
     return total // n
 
 
+def find_pattern(x, pattern):
+    """Start positions p < n, ascending, where the '0'/'1' pattern reads from cell p.
+
+    The ring text is repeated until every start can be read in full.
+    """
+    n = x.n
+    ring = str(x) * (len(pattern) // n + 2)
+    return [p for p in range(n) if ring.startswith(pattern, p)]
+
+
 def matches(transition, code):
     """Whether the neighbourhood ``code`` matches an active transition's pattern."""
     for j, ch in enumerate(transition.pattern):
@@ -209,7 +220,7 @@ def merge_events_by_text(x, y):
     """
     count = 0
     for pattern in metrics.MERGE_SITES:
-        for p in metrics.find_pattern(x, pattern):
+        for p in find_pattern(x, pattern):
             if y.cell(p + 5):
                 count += 1
     return count

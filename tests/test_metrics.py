@@ -29,27 +29,31 @@ wide_configs = odd_rings(500)  # up to 1,001 cells
 
 def test_find_pattern_is_cyclic():
     x = L.parse("00110")
-    assert M.find_pattern(x, "011") == [1]
-    assert M.find_pattern(x, "100") == [3]  # wraps over the seam
-    assert M.find_pattern(x, "0") == [0, 1, 4]
+    assert golden.find_pattern(x, "011") == [1]
+    assert golden.find_pattern(x, "100") == [3]  # wraps over the seam
+    assert golden.find_pattern(x, "0") == [0, 1, 4]
 
 
 @pytest.mark.parametrize("n", range(1, 12, 2))
 def test_find_pattern_is_a_startswith_scan(n):
-    # Patterns as long as the ring and longer (D912b has ten cells) included.
+    # The integer-mask reading behind the switch gaps and the merge sites
+    # finds each pattern where the text scan does; patterns as long as the
+    # ring and longer (D912b has ten cells) included.
     patterns = ["0", "1", "01", "10", "111", M.BOX,
                 *(pattern for _, pattern, _ in M.DOMAINS)]
+    mask = (1 << n) - 1
     for bits in range(1 << n):
         x = L.Configuration(n, bits)
-        ring = str(x) * 12
         for pattern in patterns:
-            expected = [p for p in range(n) if ring.startswith(pattern, p)]
-            assert M.find_pattern(x, pattern) == expected
+            ring = M._repeat(x, len(pattern) // n + 2)
+            starts = M._pattern_mask(ring, M._cells(pattern), mask)
+            expected = golden.find_pattern(x, pattern)
+            assert [p for p in range(n) if starts >> p & 1] == expected
 
 
 def test_box_goldens():
     for text, (_, boxes) in golden.SWITCH_SAMPLES.items():
-        assert M.find_boxes(L.parse(text)) == boxes
+        assert list(M.switches(L.parse(text)).boxes) == boxes
 
 
 def test_switch_goldens():
@@ -79,10 +83,15 @@ def test_switch_count_along_the_sample_trajectory():
     assert seq == golden.SAMPLE19_S_SEQUENCE
 
 
+def box_oracle(x):
+    """Ascending positions i where cells (i, i+1) read 01, after 1 and before 00."""
+    return sorted((p + 1) % x.n for p in golden.find_pattern(x, M.BOX))
+
+
 def switch_oracle(x):
     """(pos, kind) of every switch, gap by gap from the box positions."""
     n = x.n
-    boxes = M.find_boxes(x)
+    boxes = box_oracle(x)
     box_cells = {c % n for b in boxes for c in (b, b + 1)}
     found = []
     for i in range(n):
@@ -100,7 +109,7 @@ def test_switches_against_gap_oracle_exhaustive():
             report = M.switches(x)
             assert [(sw.pos, sw.kind) for sw in report.switches] == switch_oracle(x)
             assert M.switch_count(x) == report.s == len(report.switches)
-            assert M.find_boxes(x) == list(report.boxes)
+            assert list(report.boxes) == box_oracle(x)
 
 
 def test_switches_against_gap_oracle_on_wide_rings():
@@ -129,7 +138,7 @@ def test_switch_count_is_the_switch_report_count_on_wide_rings(x):
 def test_switches_at_the_seam(text, boxes, gaps):
     x = L.parse(text)
     report = M.switches(x)
-    assert list(report.boxes) == boxes == M.find_boxes(x)
+    assert list(report.boxes) == boxes == box_oracle(x)
     assert [(sw.pos, sw.kind) for sw in report.switches] == gaps == switch_oracle(x)
     assert M.switch_count(x) == len(gaps)
 
@@ -218,13 +227,13 @@ def test_domain_variants_refine_their_base_patterns():
             kinds = {}
             for h in M.find_domains(x):
                 kinds.setdefault(h.pos, set()).add(h.kind)
-            for p in M.find_pattern(x, "0110"):
+            for p in golden.find_pattern(x, "0110"):
                 assert kinds[p] & {"D56r", "D56b"}
-            for p in M.find_pattern(x, "001010"):
+            for p in golden.find_pattern(x, "001010"):
                 assert kinds[p] & {"D78r", "D78b"}
-            for p in M.find_pattern(x, "111010"):
+            for p in golden.find_pattern(x, "111010"):
                 assert kinds[p] & {"D910r", "D910b", "D910rb"}
-            for p in M.find_pattern(x, "1110110"):
+            for p in golden.find_pattern(x, "1110110"):
                 assert kinds[p] & {"D912r", "D912b"}
 
 
@@ -328,14 +337,35 @@ def test_ordered_blocks_match_the_candidate_scan_exhaustively(n):
 
 def test_ordered_blocks_match_the_candidate_scan_on_wide_rings():
     # Rings of aligned 00, 01 and 11 pairs hold long blocks that cover each
-    # other; uniform random rings hold short ones.
+    # other; uniform random rings hold short ones. With rare 10 pairs, many
+    # starts share one stretch between two 10s, and only the first start's
+    # longest block is maximal.
     rng = random.Random(63)
+    rings = []
     for n in range(63, 102, 2):
         pairs = "".join(rng.choice(("00", "01", "01", "11")) for _ in range(n // 2))
-        for text in (pairs + rng.choice("01"), str(L.Configuration(n, rng.getrandbits(n)))):
-            x = L.parse(text)
-            blocks = [(b.start, b.length, b.maximal) for b in M.ordered_blocks(x)]
-            assert blocks == golden.ordered_blocks_scan(x)
+        rings += [pairs + rng.choice("01"), str(L.Configuration(n, rng.getrandbits(n)))]
+    for n in range(21, 102, 4):
+        rings += [
+            "".join(rng.choices(("01", "00", "11", "10"), weights=(5, 3, 3, 1), k=n // 2))
+            + rng.choice("01")
+            for _ in range(3)
+        ]
+    for text in rings:
+        x = L.parse(text)
+        blocks = [(b.start, b.length, b.maximal) for b in M.ordered_blocks(x)]
+        assert blocks == golden.ordered_blocks_scan(x)
+
+
+@pytest.mark.parametrize("k", [2, 3, 500, 10000])
+def test_ordered_blocks_on_alternating_rings(k):
+    # "01" * k + "0": one block from each even cell s <= n - 3 through the
+    # 00 pair at the seam, of n + 1 - s cells; only the one from 0 is maximal.
+    x = L.parse("01" * k + "0")
+    n = len(x)
+    assert M.ordered_blocks(x) == [
+        M.OrderedBlock(start=s, length=n + 1 - s, maximal=s == 0) for s in range(0, n - 2, 2)
+    ]
 
 
 def test_report_json_on_a_1001_cell_ring():
