@@ -11,7 +11,7 @@ reported outcome is the replay of ``engine.evolve``. With
 sweeps, the five step laws that ``check_trajectory_invariants`` checks
 along one trajectory (see ``_broken_laws``). Work is partitioned into
 packed-integer chunks that workers process independently; their tallies
-fold, in chunk order, into a report that is identical for any worker
+fold, in encoding order, into a report that is identical for any worker
 count and chunk size.
 
 A chunk is a range of encodings. Full mode steps every encoding, so its
@@ -20,9 +20,16 @@ steps only the least rotation of each class, and those cluster at low
 encodings: at n = 23, 87 of the 128 ranges 2^16 wide hold none and 100
 hold fewer than 1,000, yet each range would pay the fixed cost of a
 chunk and of every step. So its default chunk is ``NECKLACE_CHUNK`` =
-2^19 encodings wide. In either mode a chunk's rows are stepped in
-consecutive slices of at most ``DEFAULT_CHUNK`` rows, which bounds the
-stepping arrays of a dense range.
+2^19 encodings wide; the chunk bounds the memory of the necklace tree
+that lists its rows.
+
+Rows are stepped in consecutive slices of ``DEFAULT_CHUNK`` rows, which
+bounds the stepping arrays of a dense range. A sweep in this process
+cuts its slices across chunk bounds, so small or sparse chunks pay the
+fixed cost of a slice and of each of its steps once. A sweep of fewer
+than ``2 * POOL_ROWS`` rows runs in this process whatever the worker
+count (so pools start from full n = 21 and necklace n = 25); a pool
+worker steps its own chunk in slices.
 
 The rule contracts hard: of the live states of a 2^16-ring slice at
 n = 19, about 30% are distinct after one step and under 4% after six. So
@@ -36,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import multiprocessing
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +63,10 @@ DEFAULT_CHUNK = 1 << 16
 NECKLACE_CHUNK = 1 << 19
 # The fewest live states a sweep merges (see _sweep_rows).
 MERGE_FLOOR = DEFAULT_CHUNK >> 4
+# On a 2-vCPU machine a 2-process pool costs about as much as stepping
+# this many rows in this process, so a sweep of fewer than twice as many
+# rows runs here. Larger pools were not measured.
+POOL_ROWS = 1 << 19
 
 # Invariant identifiers shared by the batch sweep and the per-trajectory checker.
 PARITY_CONSERVED = "parity-conserved"
@@ -142,7 +154,7 @@ class VerificationReport:
 
 @dataclass
 class _Tally:
-    """What a run of chunks found, with witnesses as packed encodings."""
+    """What a run of slices or chunks found, with witnesses as packed encodings."""
 
     checked: int = 0
     correct: int = 0
@@ -153,9 +165,9 @@ class _Tally:
     violations: list[tuple[str, int, int]] = field(default_factory=list)
 
     def add(self, later: _Tally) -> _Tally:
-        """Fold in the tally of the next chunk.
+        """Fold in the tally of the next slice or chunk.
 
-        A later chunk only holds larger encodings, so on a tie of max_t0
+        A later one only holds larger encodings, so on a tie of max_t0
         the current witness is already the smallest.
         """
         self.checked += later.checked
@@ -168,27 +180,52 @@ class _Tally:
         return self
 
 
+def _chunk_rows(n: int, chunk_size: int, mode: str, lo: int) -> np.ndarray:
+    """The ascending rows of the chunk [lo, lo + chunk_size).
+
+    In full mode every encoding; in necklace mode the least rotations.
+    """
+    hi = min(lo + chunk_size, 1 << n)
+    if mode == NECKLACE:
+        return packed.necklaces(n, lo, hi)
+    return np.arange(lo, hi, dtype=np.uint64)
+
+
+def _sweep_stream(
+    rule: RuleTable, n: int, budget: int, invariants: bool, arrays: Iterable[np.ndarray]
+) -> _Tally:
+    """Evolve and classify a stream of ascending row arrays, each above the last.
+
+    The rows are stepped in consecutive slices of ``DEFAULT_CHUNK`` rows
+    (the last may be shorter), cut across array bounds, and the slices'
+    tallies fold in order. So many small or sparse chunks pay the fixed
+    cost of a slice and of each of its steps once, while the stepping
+    arrays stay as small as those of one full-mode chunk.
+    """
+    sweep = functools.partial(_sweep_rows, rule, n, budget, invariants)
+
+    def slices() -> Iterator[np.ndarray]:
+        held, count = [], 0
+        for rows in arrays:
+            held.append(rows)
+            count += rows.size
+            if count >= DEFAULT_CHUNK:
+                rows = np.concatenate(held) if len(held) > 1 else rows
+                whole = count - count % DEFAULT_CHUNK
+                yield from (rows[k:k + DEFAULT_CHUNK] for k in range(0, whole, DEFAULT_CHUNK))
+                held, count = [rows[whole:]] if count > whole else [], count - whole
+        if count:
+            yield np.concatenate(held)
+
+    return functools.reduce(_Tally.add, map(sweep, slices()), _Tally())
+
+
 def _sweep_chunk(
     rule: RuleTable, n: int, chunk_size: int, budget: int, mode: str, invariants: bool,
     lo: int,
 ) -> _Tally:
-    """Evolve and classify the packed configurations [lo, lo + chunk_size).
-
-    The chunk's configurations (in necklace mode its least rotations) are
-    listed once and stepped in consecutive slices of at most
-    ``DEFAULT_CHUNK`` rows, whose tallies fold in order. So a wide
-    necklace chunk pays the per-chunk and per-step costs once for the
-    many sparse ranges it spans, while the stepping arrays stay as small
-    as those of a full-mode chunk.
-    """
-    hi = min(lo + chunk_size, 1 << n)
-    if mode == NECKLACE:
-        start = packed.necklaces(n, lo, hi)
-    else:
-        start = np.arange(lo, hi, dtype=np.uint64)
-    rows = (start[k:k + DEFAULT_CHUNK] for k in range(0, start.size, DEFAULT_CHUNK))
-    sweep = functools.partial(_sweep_rows, rule, n, budget, invariants)
-    return functools.reduce(_Tally.add, map(sweep, rows), _Tally())
+    """A pool worker's task: list and stream the one chunk that starts at lo."""
+    return _sweep_stream(rule, n, budget, invariants, [_chunk_rows(n, chunk_size, mode, lo)])
 
 
 def _sweep_rows(
@@ -375,20 +412,29 @@ def verify_size(
 ) -> VerificationReport:
     """Sweep every configuration of size n and report the classification.
 
-    The report is deterministic: chunk boundaries depend only on
-    ``chunk_size`` (by default set by the mode, see ``plan_sweep``), chunk
-    tallies are folded in chunk order, and witness lists are kept sorted
-    by packed encoding.
+    A sweep of at least ``2 * POOL_ROWS`` rows starts a pool of
+    ``min(workers, chunks)`` processes, each task one chunk; a smaller
+    one, or one with a single worker or chunk, streams its chunks
+    through this process in full slices (see ``_sweep_stream``). The
+    report is deterministic: chunk boundaries depend only on
+    ``chunk_size`` (by default set by the mode, see ``plan_sweep``),
+    tallies are folded in encoding order, and witness lists are kept
+    sorted by packed encoding.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     budget = engine.default_budget(n, budget)
     chunks = plan_sweep(n, chunk_size, mode)
-    sweep = functools.partial(_sweep_chunk, rule, n, chunks.step, budget, mode, invariants)
-    if workers == 1 or len(chunks) == 1:
-        tally = functools.reduce(_Tally.add, map(sweep, chunks), _Tally())
+    # The rows stepped: in necklace mode 2^n / n, a close lower bound of
+    # the number of rotation classes.
+    rows = 1 << n if mode == FULL else (1 << n) // n
+    processes = min(workers, len(chunks))
+    if processes == 1 or rows < 2 * POOL_ROWS:
+        listed = map(functools.partial(_chunk_rows, n, chunks.step, mode), chunks)
+        tally = _sweep_stream(rule, n, budget, invariants, listed)
     else:
-        with multiprocessing.Pool(processes=min(workers, len(chunks))) as pool:
+        sweep = functools.partial(_sweep_chunk, rule, n, chunks.step, budget, mode, invariants)
+        with multiprocessing.Pool(processes=processes) as pool:
             tally = functools.reduce(_Tally.add, pool.imap(sweep, chunks), _Tally())
 
     def replay(value: int) -> Counterexample:

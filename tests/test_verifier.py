@@ -65,7 +65,7 @@ def test_budget_below_one_is_rejected_before_sweeping(monkeypatch):
     def no_sweep(*args):
         raise AssertionError("swept before checking the budget")
 
-    monkeypatch.setattr(V, "_sweep_chunk", no_sweep)
+    monkeypatch.setattr(V, "_chunk_rows", no_sweep)
     for budget in (0, -3):
         with pytest.raises(ValueError, match="budget must be at least 1"):
             V.verify_size(CORR, 31, budget=budget)
@@ -142,7 +142,9 @@ def test_necklace_mode_counterexamples_are_representatives():
     assert str(bad[0]) in {str(L.rotate(faulty, k)) for k in range(13)}
 
 
-def test_reports_are_deterministic_across_workers_and_chunking():
+def test_reports_are_deterministic_across_workers_and_chunking(monkeypatch):
+    # Every sweep with more than one worker and chunk runs a real pool.
+    monkeypatch.setattr(V, "POOL_ROWS", 1)
     base = V.verify_size(ORIG, 11, chunk_size=256).to_json()
     assert V.verify_size(ORIG, 11, chunk_size=256, workers=2).to_json() == base
     assert V.verify_size(ORIG, 11, chunk_size=256, workers=5).to_json() == base
@@ -160,8 +162,9 @@ def test_reports_are_deterministic_across_workers_and_chunking():
             == neck, f"chunk_size={chunk_size}"
     assert V.verify_size(ORIG, 11, mode="necklace", chunk_size=64, workers=2).to_json() \
         == neck
-    # A slice of at least MERGE_FLOOR rows merges its live states; the
-    # slices of chunks below the floor never do.
+    # A slice of at least MERGE_FLOOR rows merges its live states. In this
+    # process chunks of any width are stepped in full slices; a pool worker
+    # slices its own chunk, so chunks below the floor never merge there.
     for n, mode in ((15, V.FULL), (17, V.NECKLACE)):
         merged = V.verify_size(ORIG, n, mode=mode).to_json()
         for chunk_size, workers in ((64, 1), (777, 1), (777, 2)):
@@ -170,14 +173,20 @@ def test_reports_are_deterministic_across_workers_and_chunking():
             ).to_json() == merged, f"n={n} {mode} chunk_size={chunk_size} workers={workers}"
 
 
-def test_pool_starts_no_more_processes_than_chunks(monkeypatch):
+class PoolStarted(Exception):
+    pass
+
+
+def fake_pool(monkeypatch, run=True):
+    """Record the pool sizes asked for; run each pool's chunks in this
+    process, or with ``run=False`` stop the sweep at the pool's start."""
     started = []
 
     class Pool:
-        """Runs the chunks in this process and records the pool size asked for."""
-
         def __init__(self, processes):
             started.append(processes)
+            if not run:
+                raise PoolStarted
 
         def __enter__(self):
             return self
@@ -189,10 +198,55 @@ def test_pool_starts_no_more_processes_than_chunks(monkeypatch):
             return map(func, items)
 
     monkeypatch.setattr(V, "multiprocessing", type("Fake", (), {"Pool": Pool}))
+    return started
+
+
+def test_pool_starts_no_more_processes_than_chunks(monkeypatch):
+    started = fake_pool(monkeypatch)
+    monkeypatch.setattr(V, "POOL_ROWS", 1)
     base = V.verify_size(ORIG, 11, chunk_size=256)
     assert V.verify_size(ORIG, 11, chunk_size=256, workers=64) == base
     assert V.verify_size(ORIG, 11, chunk_size=256, workers=3) == base
     assert started == [8, 3]
+
+
+def test_pool_starts_only_from_twice_pool_rows(monkeypatch):
+    started = fake_pool(monkeypatch, run=False)
+    # 2^19 rows are one POOL_ROWS, so full n = 19 runs here on any workers.
+    V.verify_size(CORR, 11, workers=64)
+    V.verify_size(CORR, 19, workers=2)
+    assert started == []
+    # 2^21 rows in 32 chunks; 2^25 / 25 necklace rows in 64 chunks.
+    for n, mode, workers in ((21, V.FULL, 64), (25, V.NECKLACE, 8)):
+        with pytest.raises(PoolStarted):
+            V.verify_size(CORR, n, mode=mode, workers=workers)
+    assert started == [32, 8]
+
+
+def sweep_widths(monkeypatch):
+    """The row counts of the ``_sweep_rows`` calls from here on, one per slice."""
+    inner = V._sweep_rows
+    widths = []
+
+    def counting(rule, n, budget, invariants, start):
+        widths.append(start.size)
+        return inner(rule, n, budget, invariants, start)
+
+    monkeypatch.setattr(V, "_sweep_rows", counting)
+    return widths
+
+
+def test_in_process_slices_span_chunk_bounds(monkeypatch):
+    # The 27,596 necklaces of n = 19 spread over eight chunks 2^16 wide,
+    # five of them non-empty (21,977, 5,126, 417, 75 and 1 rows).
+    necklace = V.verify_size(ORIG, 19, mode="necklace")
+    full = V.verify_size(ORIG, 17)
+    widths = sweep_widths(monkeypatch)
+    assert V.verify_size(ORIG, 19, mode="necklace", chunk_size=V.DEFAULT_CHUNK) == necklace
+    assert widths == [27_596]
+    widths.clear()
+    assert V.verify_size(ORIG, 17, chunk_size=777) == full
+    assert widths == [V.DEFAULT_CHUNK, V.DEFAULT_CHUNK]
 
 
 def count_steps(monkeypatch):
