@@ -53,13 +53,24 @@ from .rule import (
     transitions,
     wolfram_number,
 )
-from .verifier import (
-    VerificationReport,
-    Violation,
-    check_trajectory_invariants,
-    plan_sweep,
-    search_counterexamples,
-    verify_size,
-)
 
 __version__ = "0.1.0"
+
+# The sweep needs numpy, which the single-ring commands never load: the
+# verifier's exports are imported on first access.
+_VERIFIER_EXPORTS = frozenset({
+    "VerificationReport",
+    "Violation",
+    "check_trajectory_invariants",
+    "plan_sweep",
+    "search_counterexamples",
+    "verify_size",
+})
+
+
+def __getattr__(name: str):
+    if name not in _VERIFIER_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import verifier
+
+    return getattr(verifier, name)

@@ -6,9 +6,9 @@ import json
 import os
 import sys
 
-from . import engine, metrics, packed, verifier
+from . import engine, metrics
 from .engine import Converged, Cycle
-from .lattice import ConfigurationError, parse
+from .lattice import FULL, MAX_N, MODES, ConfigurationError, parse
 from .rule import CORRECTED, ORIGINAL, VARIANTS, build_rule_table, table_diff, \
     table_string, wolfram_number
 
@@ -45,8 +45,8 @@ def _sizes(text: str) -> list[int]:
     # listed; it holds an odd size unless it is one even number. A list names an
     # even or non-positive size before one that is too large.
     odd = (lo % 2 == 1 or lo != hi) if ranged else all(n % 2 == 1 for n in sizes)
-    if hi > packed.MAX_N and (ranged or (lo >= 1 and odd)):
-        raise argparse.ArgumentTypeError(f"sizes must be at most {packed.MAX_N}: {text!r}")
+    if hi > MAX_N and (ranged or (lo >= 1 and odd)):
+        raise argparse.ArgumentTypeError(f"sizes must be at most {MAX_N}: {text!r}")
     if lo < 1 or not odd:
         raise argparse.ArgumentTypeError(f"sizes must be odd and positive: {text!r}")
     if lo > hi:
@@ -115,6 +115,8 @@ def _cmd_annotate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verifier
+
     rule = build_rule_table(args.rule)
     all_passed = True
     for n in args.sizes:
@@ -148,6 +150,8 @@ def _cmd_rule(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import verifier
+
     rule = build_rule_table(args.rule)
     found = verifier.search_counterexamples(
         rule, args.max_size, budget=args.budget, mode=args.mode, workers=args.workers
@@ -167,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rule_options.add_argument("--rule", choices=VARIANTS, default=CORRECTED)
     rule_options.add_argument("--budget", type=_int_in(1), default=None)
     sweep_options = argparse.ArgumentParser(add_help=False)
-    sweep_options.add_argument("--mode", choices=verifier.MODES, default=verifier.FULL)
+    sweep_options.add_argument("--mode", choices=MODES, default=FULL)
     sweep_options.add_argument("--workers", type=_int_in(1), default=None,
                                help=f"worker processes (default: ${WORKERS_ENV}, else 1)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -202,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", parents=[rule_options, sweep_options],
                        help="find misclassified configurations")
     p.set_defaults(run=_cmd_search)
-    p.add_argument("--max-size", type=_int_in(1, packed.MAX_N), required=True)
+    p.add_argument("--max-size", type=_int_in(1, MAX_N), required=True)
     return parser
 
 

@@ -3,6 +3,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# The widest ring one uint64 holds: the limit of the packed kernels and sweeps.
+MAX_N = 63
+# A sweep lists every ring of a size, or the least rotation of each class.
+FULL = "full"
+NECKLACE = "necklace"
+MODES = (FULL, NECKLACE)
+
 
 class ConfigurationError(ValueError):
     """Base class for malformed configuration input."""

@@ -31,11 +31,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import metrics
-from .lattice import rotl
+from .lattice import MAX_N, rotl
 from .rule import RuleTable
-
-# The widest ring one uint64 holds for batch_step.
-MAX_N = 63
 
 _U = np.uint64
 
@@ -69,6 +66,13 @@ def parity_bits(v: np.ndarray) -> np.ndarray:
     return np.bitwise_count(v) & np.uint8(1)
 
 
+@lru_cache(maxsize=128)
+def _gather_constants(n: int, width: int) -> tuple:
+    """The copy product, each group's window start and shift, the window and ring masks."""
+    starts = tuple((s, _U(s)) for s in ((k - 4) % n for k in range(0, n, 8)))
+    return _U(sum(1 << k for k in range(0, 64, n))), starts, _U((1 << width) - 1), mask_of(n)
+
+
 def window_gather(table: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     """Look up eight cells of every packed configuration in c per gather.
 
@@ -81,25 +85,25 @@ def window_gather(table: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     68 - width cells, from a rotation of c.
     """
     width = table.shape[-1].bit_length() - 1
+    copies, starts, window, ring = _gather_constants(n, width)
     # One product lays the copies of the ring at bits 0, n, 2n, ...: c is
     # below 2^n, so the copies never overlap, no partial product carries,
     # and the sum equals the OR of the shifts modulo 2^64.
-    ext = np.asarray(c, dtype=_U) * _U(sum(1 << k for k in range(0, 64, n)))
+    ext = np.asarray(c, dtype=_U) * copies
     # The uint64 passes write into buf or out: where malloc maps each fresh
     # temporary, its page faults cost more than the gathers.
     buf = np.empty_like(ext)
-    # little-endian: byte g is cells 8g .. 8g+7
-    out = np.zeros(table.shape[:-1] + ext.shape, dtype="<u8")
+    # little-endian: byte g is cells 8g .. 8g+7; the ring mask clears the rest
+    out = np.empty(table.shape[:-1] + ext.shape, dtype="<u8")
     out_bytes = out.view(np.uint8).reshape(out.shape + (8,))
-    for group, k in enumerate(range(0, n, 8)):
-        start = (k - 4) % n
+    for group, (start, shift) in enumerate(starts):
         if start + width <= 64:
-            np.right_shift(ext, _U(start), out=buf)
+            np.right_shift(ext, shift, out=buf)
         else:
             buf[...] = rotl(c, start, n)
-        buf &= _U((1 << width) - 1)
+        buf &= window
         out_bytes[..., group] = table.take(buf.view(np.int64), axis=-1)
-    out &= mask_of(n)
+    out &= ring
     return out
 
 

@@ -37,7 +37,11 @@ a slice merges the rows that are in one state at one step and steps
 each distinct state once, while enough states are live and the sort key
 fits in 64 bits (see ``_sweep_rows``). A full sweep at n = 19 steps 2.3
 states per checked ring, where stepping each row on its own would take
-12.4.
+12.4. The stepping keeps no per-row outcome: a step on which groups
+finish appends one record per group, its last state and the step, and
+the slice's end gathers every row's outcome once through one record
+index per group, where a group with no record, proven cyclic or live at
+the budget, points at the sentinel record "never".
 """
 from __future__ import annotations
 
@@ -50,12 +54,8 @@ import numpy as np
 
 from . import engine, metrics, packed
 from .engine import Outcome
-from .lattice import Configuration, is_homogeneous, parity
+from .lattice import FULL, MODES, NECKLACE, Configuration, is_homogeneous, parity
 from .rule import RuleTable
-
-FULL = "full"
-NECKLACE = "necklace"
-MODES = (FULL, NECKLACE)
 
 # Chunk widths in encodings when the caller gives none (see above), and
 # the most rows stepped at once in either mode.
@@ -251,10 +251,20 @@ def _sweep_rows(
     necklace sweep at n = 15 about 10% slower (2-vCPU Xeon). A merge
     sorts each state above its position in one uint64 key, so it also
     needs n + bit_length(rows - 1) ≤ 64: a full 2^16-row slice merges
-    only up to n = 48. A live state stands for a group of rows, named by
-    one member's row index; the group finishes once, and every row takes
-    its last state and its step t0. Each ring is still simulated step by
-    step; no symmetry is used. The slice is classified at the end, row by
+    only up to n = 48. A merge returns the distinct states, read back
+    from its sort key, and the group of each one's first holder. A live
+    state stands for a group of rows, named by one member's row index;
+    the group finishes once, into a record of its last state and its
+    step t0, appended to lists on its step. Each ring is still simulated
+    step by step; no symmetry is used.
+
+    At the end each group points at its record, and a group with none,
+    proven cyclic or live at the budget, at -1, which selects the
+    sentinel record "never": last state 2^64 - 1 and t0 = -1. No ring
+    equals that state, so a "never" row is not correct whatever its
+    parity (at n = 63 the all-ones ring is 2^63 - 1, one bit below). The
+    merges are replayed over the record index alone, and the last states
+    and t0 are each gathered once. The slice is then classified row by
     row: a row is correct iff it ended homogeneous of its own parity, so
     rows of one group may differ in parity, as they can under a rule that
     does not conserve it. The smallest witness of a condition is its
@@ -268,10 +278,12 @@ def _sweep_rows(
     non-converged at any budget and leaves at once, about
     2·max(n, μ, λ) + λ steps in for a tail of μ steps and a period of λ.
     A merged group keeps its named member's saved state, which proves a
-    cycle of that member and so of every row that shares its states. The
-    comparison starts two steps after a checkpoint, because one step
-    after, it is the fixed-point test, and a fixed point is wrong, not
-    non-converged.
+    cycle of that member and so of every row that shares its states. A
+    cycle never reaches a homogeneous or fixed state, so a group proven
+    cyclic leaves the live arrays with the finished ones and records
+    nothing. The comparison starts two steps after a checkpoint, because
+    one step after, it is the fixed-point test, and a fixed point is
+    wrong, not non-converged.
 
     Merges and checkpoints share one schedule, the powers of two: a
     merge at every one while enough states are live, a checkpoint at
@@ -281,20 +293,19 @@ def _sweep_rows(
     size = start.size
     tally = _Tally(checked=int(size))
 
-    # Each live state x[i] belongs to the group group[i]. A group's last
-    # state and step go to final and t0; t0 stays -1 for a group that
-    # never finishes, proven cyclic or live at the budget.
+    # Each live state x[i] belongs to the group group[i]. A finishing step
+    # records its groups, their last states and its step t. A group that
+    # never finishes, proven cyclic or live at the budget, records nothing.
     x = start
     group = np.arange(size)
-    final = np.zeros(size, dtype=np.uint64)
-    t0 = np.full(size, -1, dtype=np.int64)
+    ended, lasts, steps = [], [], []
     # A merge sorts keys that hold the state above the row's position.
     key_bits = max(size - 1, 1).bit_length()
     merging = n + key_bits <= 64
     merges = []
 
-    def merge(states: np.ndarray) -> np.ndarray:
-        """The position of the first holder of each distinct state.
+    def merge(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct states, ascending, and the group of the first holder of each.
 
         Records the holders' groups in state order and the start of each
         state's run: every group joins the first of its run.
@@ -302,36 +313,38 @@ def _sweep_rows(
         key = states << np.uint64(key_bits)
         key |= np.arange(states.size, dtype=np.uint64)
         key.sort()
-        pos = (key & np.uint64((1 << key_bits) - 1)).view(np.int64)
+        members = group[(key & np.uint64((1 << key_bits) - 1)).view(np.int64)]
         key >>= np.uint64(key_bits)
-        heads = np.concatenate(([0], np.flatnonzero(key[1:] != key[:-1]) + 1))
-        merges.append((group[pos], heads))
-        return pos[heads]
+        heads = np.concatenate(([0], (key[1:] != key[:-1]).nonzero()[0] + 1))
+        merges.append((members, heads))
+        return key[heads], members[heads]
 
-    saved = cycled = None
+    saved, t = None, 0
     # A homogeneous state is its own target, so such rows finish correct at t0 = 0.
-    done, t = (x == 0) | (x == all_ones), 0
+    done = gone = (x == 0) | (x == all_ones)
     while True:
-        finished = np.flatnonzero(done)
+        finished = done.nonzero()[0]
         if finished.size:
-            ended = group[finished]
-            final[ended] = x[finished]
-            t0[ended] = t if cycled is None else np.where(cycled[finished], -1, t)
-            live = np.flatnonzero(~done)
+            ended.append(group[finished])
+            lasts.append(x[finished])
+            steps.append(t)
+        live = (~gone).nonzero()[0]
+        if live.size < x.size:
             x, group = x[live], group[live]
         if x.size == 0 or t >= budget:
             break
         power = t > 0 and t & (t - 1) == 0
         if power and merging and x.size >= MERGE_FLOOR:
-            first = merge(x)
-            x, group = x[first], group[first]
+            x, group = merge(x)
         y = packed.batch_step(rule, x, n)
         if invariants and t == 0:
             tally.violations = _broken_laws(rule, n, x, y)
-        done = (y == 0) | (y == all_ones) | (y == x)
-        if saved is not None:
-            cycled = y == saved[group]
-            done |= cycled
+        done = y == x
+        done |= y == 0
+        done |= y == all_ones
+        # A cycle never reaches a homogeneous or a fixed state: the rows
+        # proven cyclic leave with those that finish, but record nothing.
+        gone = done if saved is None else (y == saved[group]) | done
         # The first checkpoint comes late, so the cycle test stays off the
         # wide early steps, where nearly every row still converges.
         if power and t >= n:
@@ -340,20 +353,26 @@ def _sweep_rows(
         x = y
         t += 1
 
-    # Rows take the outcome of the group they joined, the first of its
+    # Each group points at its record; -1, no record, selects the last
+    # record, "never": a last state 2^64 - 1 that no ring equals, t0 = -1.
+    record = np.full(size, -1)
+    finishers = np.concatenate(ended) if ended else np.zeros(0, dtype=np.intp)
+    record[finishers] = np.arange(finishers.size)
+    # Rows take the record of the group they joined, the first of its
     # merge run, latest merge first.
     for members, heads in reversed(merges):
-        joined = np.repeat(members[heads], np.diff(heads, append=members.size))
-        final[members], t0[members] = final[joined], t0[joined]
+        record[members] = record[np.repeat(members[heads], np.diff(heads, append=members.size))]
+    final = np.concatenate(lasts + [np.array([(1 << 64) - 1], dtype=np.uint64)])[record]
+    t0 = np.repeat(steps + [-1], [a.size for a in ended] + [1])[record]
     target = np.where(packed.parity_bits(start) == 1, all_ones, np.uint64(0))
+    right = final == target
     never = t0 < 0
-    right = ~never & (final == target)
-    correct = np.flatnonzero(right)
+    correct = right.nonzero()[0]
     if correct.size:
         best = correct[np.argmax(t0[correct])]
         tally.max_t0, tally.max_t0_arg = int(t0[best]), int(start[best])
     tally.correct = int(correct.size)
-    tally.wrong = start[~never & ~right].tolist()
+    tally.wrong = start[~(right | never)].tolist()
     tally.nonconv = start[never].tolist()
     return tally
 

@@ -287,9 +287,10 @@ def reference_violations(table, n, rings=None):
     )
 
 
-def classification(table, n, budget=None):
+def classification(table, n, budget=None, rings=None):
     """The classification of every ring of n cells, one ``engine.step`` at a time.
 
+    ``rings``, ascending packed encodings, replaces every ring of n cells.
     A ring finishes at the first t <= budget at which its state is
     homogeneous, or at the first t < budget at which the state equals its
     image; it is correct iff that state is the homogeneous state of its
@@ -299,9 +300,11 @@ def classification(table, n, budget=None):
     """
     if budget is None:
         budget = engine.default_budget(n)
+    if rings is None:
+        rings = range(1 << n)
     correct, wrong, nonconv = 0, [], []
     max_t0 = None
-    for bits in range(1 << n):
+    for bits in rings:
         x = cur = lattice.Configuration(n, bits)
         target = lattice.Configuration(n, (1 << n) - 1 if lattice.parity(x) else 0)
         for t in range(budget + 1):
@@ -321,7 +324,7 @@ def classification(table, n, budget=None):
         correct += 1
         if max_t0 is None or t > max_t0[0]:
             max_t0 = (t, str(x))
-    return 1 << n, correct, max_t0, wrong, nonconv
+    return len(rings), correct, max_t0, wrong, nonconv
 
 
 def check_trajectory_invariants_by_reports(table, x, budget=None):

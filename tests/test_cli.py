@@ -450,3 +450,29 @@ def test_a_reader_closing_the_pipe_ends_the_command_quietly(argv, keep):
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 141
     assert err == b""
+
+
+_SINGLE_RING_COMMANDS = """
+import sys
+import parityca, parityca.cli
+for argv in (
+    ["evolve", "--rule", "original", "--config", "0001110101001", "--format", "pbm"],
+    ["annotate", "--config", "0001110101001"],
+    ["rule", "--emit", "diff"],
+):
+    assert parityca.cli.main(argv) == 0, argv
+loaded = {"numpy", "multiprocessing"} & set(sys.modules)
+assert not loaded, loaded
+from parityca import verifier, verify_size
+assert verify_size is verifier.verify_size and "numpy" in sys.modules
+"""
+
+
+def test_single_ring_commands_load_no_numpy():
+    # In a fresh interpreter: the package, the CLI and the evolve, annotate
+    # and rule commands import neither numpy nor multiprocessing; the
+    # verifier's exports load it on first access.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _SINGLE_RING_COMMANDS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

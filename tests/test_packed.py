@@ -118,6 +118,24 @@ def test_invariant_tables_are_built_once_per_rule_and_read_only():
     assert not table.flags.writeable
 
 
+# Every odd n: the repeated ring up to n = 51, a rotation of it from n = 53.
+@pytest.mark.parametrize("n", range(1, P.MAX_N + 1, 2))
+def test_window_gather_sets_no_bit_above_the_ring(n):
+    # The gather fills an uninitialised buffer byte group by byte group and
+    # masks it last. All-ones fills every group's byte, and a freed buffer of
+    # set bits leaves garbage where the mask must clear it.
+    c = np.concatenate((
+        np.array([0, (1 << n) - 1], dtype=np.uint64), sample_configs(n, 254, seed=n)
+    ))
+    for table in (P.lut64(CORR), P.lut64(ORIG), P.invariant_tables(CORR),
+                  P.invariant_tables(ORIG)):
+        junk = np.full(table.shape[:-1] + c.shape, ~np.uint64(0))
+        del junk
+        out = P.window_gather(table, c, n)
+        assert out.shape == table.shape[:-1] + c.shape
+        assert (out >> np.uint64(n) == 0).all(), f"n={n}"
+
+
 def test_invariant_tables_build_in_row_blocks():
     # Over all 2^17 windows at once, the build's temporaries peaked at 24 MB.
     P.lut64(CORR)

@@ -654,6 +654,76 @@ def test_sweep_classification_agrees_on_random_tables(monkeypatch):
     assert exhausted
 
 
+def tally_classification(tally, n):
+    """A ``_sweep_rows`` tally in the shape of ``golden.classification``."""
+    return (
+        tally.checked,
+        tally.correct,
+        None if tally.max_t0 < 0 else (tally.max_t0, str(L.Configuration(n, tally.max_t0_arg))),
+        [str(L.Configuration(n, w)) for w in tally.wrong],
+        [str(L.Configuration(n, w)) for w in tally.nonconv],
+    )
+
+
+def meeting_pairs(table, n, rings):
+    """For each ring that has one, the ascending pair of it and a ring one or
+    two cells away whose image is the same."""
+    cells = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    flips = np.unique(cells[:, None] | cells[None, :])
+    pairs = []
+    for ring in rings.tolist():
+        near = np.uint64(ring) ^ flips
+        image = P.batch_step(table, np.array([ring], dtype=np.uint64), n)
+        met = near[P.batch_step(table, near, n) == image]
+        if met.size:
+            pairs.append(np.sort(np.array([ring, met[0]], dtype=np.uint64)))
+    return pairs
+
+
+def test_sweep_rows_classify_the_widest_rings(monkeypatch):
+    # At n = 63 the ring 2^63 - 1 is one bit below the "never" record's
+    # last state 2^64 - 1. A slice merges here only when it is tiny (the
+    # key needs n + bit_length(rows - 1) <= 64 bits), so with a floor of 1
+    # pairs of rings with one image merge after one step. Random table 2
+    # does not conserve parity, so the rings of one pair may differ in it,
+    # and its cycles are too long to replay at the default budget. Under
+    # the identity every ring but two is wrong; the complement's rings
+    # are proven cyclic at step 66, two steps past the checkpoint 64.
+    rng = np.random.default_rng(61)
+    merged = 0
+    for n in (61, 63):
+        all_ones = (1 << n) - 1
+        rings = np.unique(np.concatenate((
+            np.array([0, 1, all_ones - 1, all_ones], dtype=np.uint64),
+            rng.integers(0, all_ones, size=40, dtype=np.uint64, endpoint=True),
+        )))
+        for table, budgets in (
+            (CORR, (1, 2, None)), (ORIG, (1, 2, None)), (random_table(2), (1, 2, 40)),
+            (IDENTITY, (1, 2)), (COMPLEMENT, (1, 2, 100)),
+        ):
+            # The identity and the complement are one-to-one: no pair meets.
+            pairs = meeting_pairs(table, n, rings[4:12])
+            for budget in budgets:
+                budget = E.default_budget(n, budget)
+                tally = V._sweep_rows(table, n, budget, False, rings)
+                assert tally_classification(tally, n) == \
+                    golden.classification(table, n, budget, rings.tolist()), \
+                    f"{table.variant} n={n} budget={budget}"
+                monkeypatch.setattr(V, "MERGE_FLOOR", 1)
+                widths = count_steps(monkeypatch)
+                for pair in pairs:
+                    widths.clear()
+                    tally = V._sweep_rows(table, n, budget, False, pair)
+                    assert tally_classification(tally, n) == \
+                        golden.classification(table, n, budget, pair.tolist()), \
+                        f"{table.variant} n={n} budget={budget} pair={pair}"
+                    merged += widths[1:2] == [1]
+                monkeypatch.undo()
+    # Every pair of the first three tables merges at each size and each
+    # budget above 1; a budget of 1 stops before the merge.
+    assert merged == 2 * 2 * (8 + 8 + 1)
+
+
 def test_report_json_shape():
     doc = V.verify_size(ORIG, 13).to_json()
     assert doc["rule"] == "original"
