@@ -19,10 +19,12 @@ fill once per rule.
 ``necklaces`` lists the least rotation of every class in a range of
 encodings without building the range. It walks the prenecklace tree,
 whose nodes number a small multiple of the necklaces (1.2 M nodes for
-the 364,724 necklaces of n = 23, whose last level holds only the
-necklaces), where filtering compares each of the 2^n encodings with its
-n - 1 rotations. ``necklace_mask`` stays as the plain reference oracle
-for it.
+the 364,724 necklaces of n = 23 and 4.4 M for the 1,342,184 of n = 25,
+whose last level holds only the necklaces), where filtering compares
+each of the 2^n encodings with its n - 1 rotations. Below n = 32 the
+tree's words and periods are uint32, half the bytes per node of uint64;
+the result is uint64 like every other array of packed configurations.
+``necklace_mask`` stays as the plain reference oracle for it.
 """
 from __future__ import annotations
 
@@ -241,9 +243,15 @@ def necklaces(n: int, lo: int, hi: int) -> np.ndarray:
     completions all miss [lo, hi) are dropped. That test runs only at the
     depths where a parent can straddle lo or hi: once both are multiples
     of the width a parent spans, every parent left lies inside. The last
-    level keeps a child of period p only where p divides n, and the
-    children that start a period of n, so it holds only the necklaces.
-    A range with no encoding below 2^n gives an empty array.
+    level keeps a child of period p only where p divides n, read from an
+    n-entry table, and the children that start a period of n, so it
+    holds only the necklaces. A range with no encoding below 2^n gives
+    an empty array.
+
+    Each node holds its period as the shift p - 1, so the bit p places
+    back is one shift and one AND. Below n = 32 the words and shifts are
+    uint32: a word and its bound (w + 1) << r stay at most 2^n, and the
+    1.2 M nodes of n = 23 move half the bytes they would as uint64.
     """
     hi = min(hi, 1 << n)
     if lo >= hi:
@@ -251,27 +259,29 @@ def necklaces(n: int, lo: int, hi: int) -> np.ndarray:
     # The parents of depth n - 1 - r span 2^(r + 1) encodings, so for r
     # below the lowest set bit of lo | hi none of them straddles a bound.
     aligned = ((lo | hi) & -(lo | hi)).bit_length() - 1
-    w = np.zeros(1, dtype=_U)
-    p = np.ones(1, dtype=_U)
+    word = np.uint32 if n < 32 else _U
+    divides = np.array([n % p == 0 for p in range(1, n + 1)])
+    w = np.zeros(1, dtype=word)
+    shift = np.zeros(1, dtype=word)
     for t in range(n):
         r = n - t - 1
-        ref = (w >> (p - _U(1))) & _U(1)
+        ref = (w >> shift) & 1
         fork = ref == 0
         if r:
-            w = np.concatenate((w << _U(1) | ref, w[fork] << _U(1) | _U(1)))
-            p = np.concatenate((p, np.full(int(fork.sum()), t + 1, dtype=_U)))
+            w = np.concatenate((w << 1 | ref, w[fork] << 1 | 1))
+            shift = np.concatenate((shift, np.full(np.count_nonzero(fork), t, dtype=word)))
         else:
-            keep = _U(n) % p == 0
-            w = np.concatenate((w[keep] << _U(1) | ref[keep], w[fork] << _U(1) | _U(1)))
+            keep = divides[shift]
+            w = np.concatenate((w[keep] << 1 | ref[keep], w[fork] << 1 | 1))
         if r >= aligned:
-            hit = ((w + _U(1)) << _U(r) > _U(lo)) & (w << _U(r) < _U(hi))
+            hit = ((w + 1) << r > lo) & (w << r < hi)
             w = w[hit]
             if r:
-                p = p[hit]
+                shift = shift[hit]
             if w.size == 0:
                 break
     w.sort()
-    return w
+    return w.astype(_U)
 
 
 def necklace_mask(c: np.ndarray, n: int) -> np.ndarray:

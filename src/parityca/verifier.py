@@ -231,11 +231,14 @@ def _sweep_chunk(
 def _sweep_rows(
     rule: RuleTable, n: int, budget: int, invariants: bool, start: np.ndarray
 ) -> _Tally:
-    """Evolve and classify the ascending packed configurations ``start``.
+    """Evolve and classify the strictly ascending packed configurations ``start``.
 
     Only live trajectories are stepped: a state leaves the arrays as soon
     as it reaches a homogeneous state or a fixed point, or as soon as it
-    is proven cyclic. Each step builds one mask of the states that
+    is proven cyclic. The rows ascend strictly, so a homogeneous row can
+    only be the first (0) or the last (2^n - 1): those two are read at
+    the ends, finish correct at step 0, and the rest is stepped as one
+    slice of ``start``. Each step builds one mask of the states that
     finished and records only those few. Each step is one
     ``packed.batch_step(rule, ...)``; the sweep fetches no table. With
     ``invariants``, the step laws are checked on the first step, where
@@ -248,13 +251,14 @@ def _sweep_rows(
     2, 4, 8, ..., while at least ``MERGE_FLOOR`` are live, and each
     distinct state is stepped once. Below the floor the sort costs more
     than the steps it saves: merging every slice made the 2,192-row
-    necklace sweep at n = 15 about 10% slower (2-vCPU Xeon). A merge
-    sorts each state above its position in one uint64 key, so it also
+    necklace sweep at n = 15 about 10% slower (2-vCPU Xeon). A live
+    state stands for a group of rows, named by one member's row index. A
+    merge sorts each state above its group in one uint64 key, so it also
     needs n + bit_length(rows - 1) ≤ 64: a full 2^16-row slice merges
-    only up to n = 48. A merge returns the distinct states, read back
-    from its sort key, and the group of each one's first holder. A live
-    state stands for a group of rows, named by one member's row index;
-    the group finishes once, into a record of its last state and its
+    only up to n = 48. The sorted keys hold each run of one state with
+    its groups ascending, so a run is named by its smallest group, and
+    the merge reads the distinct states and those groups back from the
+    keys. A group finishes once, into a record of its last state and its
     step t0, appended to lists on its step. Each ring is still simulated
     step by step; no symmetry is used.
 
@@ -277,8 +281,8 @@ def _sweep_rows(
     fixed, or it would have left there. So it never finishes: it is
     non-converged at any budget and leaves at once, about
     2·max(n, μ, λ) + λ steps in for a tail of μ steps and a period of λ.
-    A merged group keeps its named member's saved state, which proves a
-    cycle of that member and so of every row that shares its states. A
+    A merged run keeps the saved state of its smallest group, which proves
+    a cycle of that group and so of every row that shares its states. A
     cycle never reaches a homogeneous or fixed state, so a group proven
     cyclic leaves the live arrays with the finished ones and records
     nothing. The comparison starts two steps after a checkpoint, because
@@ -296,43 +300,35 @@ def _sweep_rows(
     # Each live state x[i] belongs to the group group[i]. A finishing step
     # records its groups, their last states and its step t. A group that
     # never finishes, proven cyclic or live at the budget, records nothing.
-    x = start
-    group = np.arange(size)
-    ended, lasts, steps = [], [], []
-    # A merge sorts keys that hold the state above the row's position.
+    # A homogeneous state is its own target, so such rows finish correct
+    # at t0 = 0; they can only be the first and the last row.
+    first = int(start[0] == 0)
+    stop = size - int(start[-1] == all_ones)
+    x, group = start[first:stop], np.arange(first, stop)
+    homogeneous = np.r_[:first, stop:size]
+    ended, lasts, steps = [homogeneous], [start[homogeneous]], [0]
+    # A merge sorts keys that hold the state above the group.
     key_bits = max(size - 1, 1).bit_length()
     merging = n + key_bits <= 64
     merges = []
 
     def merge(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct states, ascending, and the group of the first holder of each.
+        """The distinct states, ascending, and the smallest group holding each.
 
         Records the holders' groups in state order and the start of each
         state's run: every group joins the first of its run.
         """
         key = states << np.uint64(key_bits)
-        key |= np.arange(states.size, dtype=np.uint64)
+        key |= group.view(np.uint64)
         key.sort()
-        members = group[(key & np.uint64((1 << key_bits) - 1)).view(np.int64)]
+        members = (key & np.uint64((1 << key_bits) - 1)).view(np.int64)
         key >>= np.uint64(key_bits)
         heads = np.concatenate(([0], (key[1:] != key[:-1]).nonzero()[0] + 1))
         merges.append((members, heads))
         return key[heads], members[heads]
 
     saved, t = None, 0
-    # A homogeneous state is its own target, so such rows finish correct at t0 = 0.
-    done = gone = (x == 0) | (x == all_ones)
-    while True:
-        finished = done.nonzero()[0]
-        if finished.size:
-            ended.append(group[finished])
-            lasts.append(x[finished])
-            steps.append(t)
-        live = (~gone).nonzero()[0]
-        if live.size < x.size:
-            x, group = x[live], group[live]
-        if x.size == 0 or t >= budget:
-            break
+    while x.size and t < budget:
         power = t > 0 and t & (t - 1) == 0
         if power and merging and x.size >= MERGE_FLOOR:
             x, group = merge(x)
@@ -352,11 +348,19 @@ def _sweep_rows(
             saved[group] = x
         x = y
         t += 1
+        finished = done.nonzero()[0]
+        if finished.size:
+            ended.append(group[finished])
+            lasts.append(x[finished])
+            steps.append(t)
+        live = (~gone).nonzero()[0]
+        if live.size < x.size:
+            x, group = x[live], group[live]
 
     # Each group points at its record; -1, no record, selects the last
     # record, "never": a last state 2^64 - 1 that no ring equals, t0 = -1.
     record = np.full(size, -1)
-    finishers = np.concatenate(ended) if ended else np.zeros(0, dtype=np.intp)
+    finishers = np.concatenate(ended)
     record[finishers] = np.arange(finishers.size)
     # Rows take the record of the group they joined, the first of its
     # merge run, latest merge first.

@@ -353,6 +353,18 @@ def test_necklaces_over_the_sweep_chunks_are_counted_and_in_range(n):
     assert total == necklace_count(n)
 
 
+@pytest.mark.parametrize("n", (29, 31, 33, 35))
+def test_necklaces_match_the_oracle_across_the_word_width(n):
+    # The tree is held in uint32 words below n = 32 and in uint64 from
+    # there; a bound (w + 1) << r reaches 2^n in the last window.
+    top = 1 << n
+    for lo in (0, top >> 1, top - 4096):
+        reps = P.necklaces(n, lo, lo + 4096)
+        assert reps.dtype == np.uint64
+        assert np.array_equal(reps, necklace_oracle(n, lo, lo + 4096)), (n, lo)
+    assert reps.tolist() == [top - 1]
+
+
 # Windows whose start has at least `zeros` leading zero bits: necklaces are
 # dense where there are many, and zeros = 0 puts the start anywhere.
 @given(st.integers(9, P.MAX_N // 2), st.data())

@@ -724,6 +724,32 @@ def test_sweep_rows_classify_the_widest_rings(monkeypatch):
     assert merged == 2 * 2 * (8 + 8 + 1)
 
 
+def test_sweep_rows_read_the_homogeneous_rows_at_the_slice_ends(monkeypatch):
+    # Rows ascend strictly, so 0 can only be the first row of a slice and
+    # 2^n - 1 the last. Random table 2 maps all-zeros to all-ones, so a
+    # homogeneous row must finish correct at t0 = 0, not be stepped.
+    rng = np.random.default_rng(27)
+    slices = [(1, [0, 1]), (1, [0]), (1, [1])]
+    for n in (9, 13):
+        all_ones = (1 << n) - 1
+        inner = sorted(set(rng.integers(1, all_ones, size=24).tolist()))
+        slices += [(n, rings) for rings in (
+            [0] + inner, inner + [all_ones], [0] + inner + [all_ones], inner,
+            [0], [all_ones], inner[:1], [0, all_ones],
+        )]
+    tables = ((CORR, None), (ORIG, None), (random_table(2), 40))
+    assert tables[2][0].outputs[0] == 1
+    for n, rings in slices:
+        for table, budget in tables:
+            budget = E.default_budget(n, budget)
+            expected = golden.classification(table, n, budget, rings)
+            for floor in MERGE_FLOORS:
+                monkeypatch.setattr(V, "MERGE_FLOOR", floor)
+                tally = V._sweep_rows(table, n, budget, False, np.array(rings, dtype=np.uint64))
+                assert tally_classification(tally, n) == expected, \
+                    f"{table.variant} n={n} rings={rings} floor={floor}"
+
+
 def test_report_json_shape():
     doc = V.verify_size(ORIG, 13).to_json()
     assert doc["rule"] == "original"
