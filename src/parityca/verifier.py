@@ -38,10 +38,13 @@ each distinct state once, while enough states are live and the sort key
 fits in 64 bits (see ``_sweep_rows``). A full sweep at n = 19 steps 2.3
 states per checked ring, where stepping each row on its own would take
 12.4. The stepping keeps no per-row outcome: a step on which groups
-finish appends one record per group, its last state and the step, and
-the slice's end gathers every row's outcome once through one record
-index per group, where a group with no record, proven cyclic or live at
-the budget, points at the sentinel record "never".
+finish appends one record per group, its last state and the step. A
+slice whose rows all converge correctly is told from its records alone.
+Only a slice that holds a wrong or a non-converged row, or a merge that
+joined rows of both parities, replays its merges at its end and gathers
+every row's outcome once through one record index per group, where a
+group with no record, proven cyclic or live at the budget, points at
+the sentinel record "never".
 """
 from __future__ import annotations
 
@@ -262,17 +265,19 @@ def _sweep_rows(
     step t0, appended to lists on its step. Each ring is still simulated
     step by step; no symmetry is used.
 
-    At the end each group points at its record, and a group with none,
-    proven cyclic or live at the budget, at -1, which selects the
-    sentinel record "never": last state 2^64 - 1 and t0 = -1. No ring
-    equals that state, so a "never" row is not correct whatever its
-    parity (at n = 63 the all-ones ring is 2^63 - 1, one bit below). The
-    merges are replayed over the record index alone, and the last states
-    and t0 are each gathered once. The slice is then classified row by
-    row: a row is correct iff it ended homogeneous of its own parity, so
-    rows of one group may differ in parity, as they can under a rule that
-    does not conserve it. The smallest witness of a condition is its
-    first row.
+    At the end the records alone show whether every row is correct. That
+    holds when no merge joined rows of both parities, so that each
+    group's rows share the parity of its smallest row, its id; when
+    every group has a record, so that the records number the rows less
+    those merged into another group; and when each record's last state
+    is the homogeneous state of its group's parity. Then max_t0 is the
+    step of the last record, and its witness the smallest group of that
+    step. Under the corrected rule every slice ends so, and under the
+    original every slice of each odd size up to 25 but 13, the size of
+    its faulty cycle (up to 27 in necklace mode). Only a slice with a
+    wrong or non-converged row, or a merge that mixed parities, is
+    classified row by row, by ``_classify_rows``, which replays the
+    merges.
 
     The cycle proof is Brent's (BIT 1980): each group keeps the state it
     had at the last checkpoint step 2^j, counted from the first power of
@@ -310,20 +315,26 @@ def _sweep_rows(
     # A merge sorts keys that hold the state above the group.
     key_bits = max(size - 1, 1).bit_length()
     merging = n + key_bits <= 64
-    merges = []
+    merges, mixed = [], False
+    odd = packed.parity_bits(start)
 
     def merge(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The distinct states, ascending, and the smallest group holding each.
 
         Records the holders' groups in state order and the start of each
-        state's run: every group joins the first of its run.
+        state's run: every group joins the first of its run. Notes whether
+        a run joined groups whose rows differ in parity.
         """
+        nonlocal mixed
         key = states << np.uint64(key_bits)
         key |= group.view(np.uint64)
         key.sort()
         members = (key & np.uint64((1 << key_bits) - 1)).view(np.int64)
         key >>= np.uint64(key_bits)
-        heads = np.concatenate(([0], (key[1:] != key[:-1]).nonzero()[0] + 1))
+        same = key[1:] == key[:-1]
+        heads = np.concatenate(([0], (~same).nonzero()[0] + 1))
+        parities = odd[members]
+        mixed = mixed or bool((same & (parities[1:] != parities[:-1])).any())
         merges.append((members, heads))
         return key[heads], members[heads]
 
@@ -357,9 +368,42 @@ def _sweep_rows(
         if live.size < x.size:
             x, group = x[live], group[live]
 
+    # Without a mixed merge every group's rows share its parity, so when
+    # every group has a record and each record is right, every row is
+    # correct; the last record's smallest group is the smallest row.
+    finishers = np.concatenate(ended)
+    if (
+        not mixed
+        and finishers.size == size - sum(members.size - heads.size for members, heads in merges)
+        and (np.concatenate(lasts) == all_ones * odd[finishers]).all()
+    ):
+        tally.correct = int(size)
+        tally.max_t0, tally.max_t0_arg = steps[-1], int(start[ended[-1].min()])
+        return tally
+    return _classify_rows(tally, start, all_ones * odd, ended, lasts, steps, merges)
+
+
+def _classify_rows(
+    tally: _Tally, start: np.ndarray, target: np.ndarray, ended: list[np.ndarray],
+    lasts: list[np.ndarray], steps: list[int], merges: list[tuple[np.ndarray, np.ndarray]],
+) -> _Tally:
+    """Classify a slice of ``_sweep_rows`` row by row from its records and merges.
+
+    ``target`` holds each row's homogeneous state of its parity. Each
+    group points at its record, and a group with none, proven cyclic or
+    live at the budget, at -1, which selects the sentinel record "never":
+    last state 2^64 - 1 and t0 = -1. No ring equals that state, so a
+    "never" row is not correct whatever its parity (at n = 63 the
+    all-ones ring is 2^63 - 1, one bit below). The merges are replayed
+    over the record index alone, and the last states and t0 are each
+    gathered once. A row is correct iff it ended homogeneous of its own
+    parity, so rows of one group may differ in parity, as they can under
+    a rule that does not conserve it. The smallest witness of a
+    condition is its first row.
+    """
     # Each group points at its record; -1, no record, selects the last
     # record, "never": a last state 2^64 - 1 that no ring equals, t0 = -1.
-    record = np.full(size, -1)
+    record = np.full(start.size, -1)
     finishers = np.concatenate(ended)
     record[finishers] = np.arange(finishers.size)
     # Rows take the record of the group they joined, the first of its
@@ -368,7 +412,6 @@ def _sweep_rows(
         record[members] = record[np.repeat(members[heads], np.diff(heads, append=members.size))]
     final = np.concatenate(lasts + [np.array([(1 << 64) - 1], dtype=np.uint64)])[record]
     t0 = np.repeat(steps + [-1], [a.size for a in ended] + [1])[record]
-    target = np.where(packed.parity_bits(start) == 1, all_ones, np.uint64(0))
     right = final == target
     never = t0 < 0
     correct = right.nonzero()[0]

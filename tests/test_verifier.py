@@ -750,6 +750,64 @@ def test_sweep_rows_read_the_homogeneous_rows_at_the_slice_ends(monkeypatch):
                     f"{table.variant} n={n} rings={rings} floor={floor}"
 
 
+def count_row_classifications(monkeypatch):
+    """The row counts of the slices classified row by row from here on."""
+    inner = V._classify_rows
+    sizes = []
+
+    def counting(tally, start, *records):
+        sizes.append(start.size)
+        return inner(tally, start, *records)
+
+    monkeypatch.setattr(V, "_classify_rows", counting)
+    return sizes
+
+
+def test_only_slices_with_a_failing_row_or_a_mixed_merge_are_classified_row_by_row(
+    monkeypatch,
+):
+    calls = count_row_classifications(monkeypatch)
+    # Under the corrected rule every row of every slice converges correctly,
+    # so each slice is classified from its finish records alone.
+    expected = {n: golden.classification(CORR, n) for n in range(1, 14, 2)}
+    for floor in MERGE_FLOORS:
+        monkeypatch.setattr(V, "MERGE_FLOOR", floor)
+        for n in range(1, 16, 2):
+            swept, report = swept_classification(CORR, n, None)
+            assert report.passed, f"n={n} floor={floor}"
+            if n in expected:
+                assert swept == expected[n], f"n={n} floor={floor}"
+        for n in range(1, 20, 2):
+            assert V.verify_size(CORR, n, mode="necklace").passed, f"n={n} floor={floor}"
+    assert calls == []
+    # A slice with a non-converged row: the original rule's faulty cycle,
+    # and a budget of 3 that leaves rows live.
+    for table, budget in ((ORIG, None), (CORR, 3)):
+        expected = golden.classification(table, 13, budget)
+        for floor in MERGE_FLOORS:
+            monkeypatch.setattr(V, "MERGE_FLOOR", floor)
+            calls.clear()
+            swept, _ = swept_classification(table, 13, budget)
+            assert swept == expected, f"{table.variant} budget={budget} floor={floor}"
+            assert calls == [1 << 13], f"{table.variant} budget={budget} floor={floor}"
+    # Random table 3 steps the rings 9 and 290 of n = 9, of opposite parity,
+    # to one state. Merged, their group is named by 9, which finishes
+    # correct at step 10, so every group has a right record and only the
+    # mixed merge shows that 290 ends wrong.
+    table, rings = random_table(3), np.array([9, 290], dtype=np.uint64)
+    expected = golden.classification(table, 9, 40, rings.tolist())
+    assert expected == (2, 1, (10, "100100000"), ["010001001"], [])
+    widths = count_steps(monkeypatch)
+    for floor in MERGE_FLOORS:
+        monkeypatch.setattr(V, "MERGE_FLOOR", floor)
+        calls.clear()
+        widths.clear()
+        tally = V._sweep_rows(table, 9, 40, False, rings)
+        assert tally_classification(tally, 9) == expected, f"floor={floor}"
+        assert calls == [2], f"floor={floor}"
+        assert (widths[1:2] == [1]) == (floor == 1), f"floor={floor}"
+
+
 def test_report_json_shape():
     doc = V.verify_size(ORIG, 13).to_json()
     assert doc["rule"] == "original"
