@@ -8,7 +8,7 @@ import sys
 
 from . import engine, metrics
 from .engine import Converged, Cycle
-from .lattice import FULL, MAX_N, MODES, ConfigurationError, parse
+from .lattice import FULL, MAX_N, MAX_WORKERS, MODES, ConfigurationError, parse
 from .rule import CORRECTED, ORIGINAL, VARIANTS, build_rule_table, table_diff, \
     table_string, wolfram_number
 
@@ -172,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rule_options.add_argument("--budget", type=_int_in(1), default=None)
     sweep_options = argparse.ArgumentParser(add_help=False)
     sweep_options.add_argument("--mode", choices=MODES, default=FULL)
-    sweep_options.add_argument("--workers", type=_int_in(1), default=None,
+    sweep_options.add_argument("--workers", type=_int_in(1, MAX_WORKERS), default=None,
                                help=f"worker processes (default: ${WORKERS_ENV}, else 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -215,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "workers", 1) is None:
         try:
-            args.workers = _int_in(1)(os.environ.get(WORKERS_ENV, "1"))
+            args.workers = _int_in(1, MAX_WORKERS)(os.environ.get(WORKERS_ENV, "1"))
         except argparse.ArgumentTypeError as exc:
             parser.error(f"{WORKERS_ENV}: {exc}")
     try:

@@ -5,6 +5,10 @@ from dataclasses import dataclass
 
 # The widest ring one uint64 holds: the limit of the packed kernels and sweeps.
 MAX_N = 63
+# The most worker processes a sweep takes: 32 times the largest pool the
+# acceptance sweeps run (8 workers), since each worker is a forked
+# process that holds its own slice arrays.
+MAX_WORKERS = 256
 # A sweep lists every ring of a size, or the least rotation of each class.
 FULL = "full"
 NECKLACE = "necklace"

@@ -9,59 +9,37 @@ the sweep, or still live when the step budget ran out; either way its
 reported outcome is the replay of ``engine.evolve``. With
 ``invariants=True`` it additionally checks, on every configuration it
 sweeps, the five step laws that ``check_trajectory_invariants`` checks
-along one trajectory (see ``_broken_laws``). Work is partitioned into
-packed-integer chunks that workers process independently; their tallies
-fold, in encoding order, into a report that is identical for any worker
-count and chunk size.
+along one trajectory (see ``_broken_laws``).
 
-A chunk is a range of encodings. Full mode steps every encoding, so its
-default chunk is ``DEFAULT_CHUNK`` = 2^16 encodings wide. Necklace mode
-steps only the least rotation of each class, and those cluster at low
-encodings: at n = 23, 87 of the 128 ranges 2^16 wide hold none and 100
-hold fewer than 1,000, yet each range would pay the fixed cost of a
-chunk and of every step. So its default chunk is ``NECKLACE_CHUNK`` =
-2^19 encodings wide; the chunk bounds the memory of the necklace tree
-that lists its rows.
-
-Rows are stepped in consecutive slices of ``DEFAULT_CHUNK`` rows, which
-bounds the stepping arrays of a dense range. A sweep in this process
-cuts its slices across chunk bounds, so small or sparse chunks pay the
-fixed cost of a slice and of each of its steps once. A sweep of fewer
-than ``2 * POOL_ROWS`` rows runs in this process whatever the worker
-count (so pools start from full n = 21 and necklace n = 25); a pool
-worker steps its own chunk in slices.
-
-The rule contracts hard: of the live states of a 2^16-ring slice at
-n = 19, about 30% are distinct after one step and under 4% after six. So
-a slice merges the rows that are in one state at one step and steps
-each distinct state once, while enough states are live and the sort key
-fits in 64 bits (see ``_sweep_rows``). A full sweep at n = 19 steps 2.3
-states per checked ring, where stepping each row on its own would take
-12.4. The stepping keeps no per-row outcome: a step on which groups
-finish appends one record per group, its last state and the step. A
-slice whose rows all converge correctly is told from its records alone.
-Only a slice that holds a wrong or a non-converged row, or a merge that
-joined rows of both parities, replays its merges at its end and gathers
-every row's outcome once through one record index per group, where a
-group with no record, proven cyclic or live at the budget, points at
-the sentinel record "never".
+The encodings are planned as chunks, ranges of packed integers (see
+``plan_sweep``). ``_sweep_chunks`` lists the rows of a run of chunks and
+steps them in slices: in this process over the whole plan, or in a pool
+worker over one chunk. ``_sweep_rows`` steps and classifies one slice,
+merging the rows that reach one state. The tallies fold, in encoding
+order, into a report that is identical for any worker count and chunk
+size.
 """
 from __future__ import annotations
 
 import functools
 import multiprocessing
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import engine, metrics, packed
 from .engine import Outcome
-from .lattice import FULL, MODES, NECKLACE, Configuration, is_homogeneous, parity
+from .lattice import FULL, MAX_WORKERS, MODES, NECKLACE, Configuration, is_homogeneous, parity
 from .rule import RuleTable
 
-# Chunk widths in encodings when the caller gives none (see above), and
-# the most rows stepped at once in either mode.
+# Chunk widths in encodings when the caller gives none, and in
+# DEFAULT_CHUNK the most rows stepped at once in either mode. Necklace
+# mode steps only the least rotation of each class, and those cluster at
+# low encodings: at n = 23, 87 of the 128 ranges 2^16 wide hold none and
+# 100 hold fewer than 1,000, yet each range would pay the fixed cost of a
+# chunk and of every step. So a necklace chunk is 2^19 encodings wide; its
+# width bounds the memory of the necklace tree that lists its rows.
 DEFAULT_CHUNK = 1 << 16
 NECKLACE_CHUNK = 1 << 19
 # The fewest live states a sweep merges (see _sweep_rows).
@@ -183,33 +161,28 @@ class _Tally:
         return self
 
 
-def _chunk_rows(n: int, chunk_size: int, mode: str, lo: int) -> np.ndarray:
-    """The ascending rows of the chunk [lo, lo + chunk_size).
-
-    In full mode every encoding; in necklace mode the least rotations.
-    """
-    hi = min(lo + chunk_size, 1 << n)
-    if mode == NECKLACE:
-        return packed.necklaces(n, lo, hi)
-    return np.arange(lo, hi, dtype=np.uint64)
-
-
-def _sweep_stream(
-    rule: RuleTable, n: int, budget: int, invariants: bool, arrays: Iterable[np.ndarray]
+def _sweep_chunks(
+    rule: RuleTable, n: int, budget: int, invariants: bool, mode: str, chunks: range
 ) -> _Tally:
-    """Evolve and classify a stream of ascending row arrays, each above the last.
+    """Evolve and classify the rows of the chunks that start at ``chunks``.
 
-    The rows are stepped in consecutive slices of ``DEFAULT_CHUNK`` rows
-    (the last may be shorter), cut across array bounds, and the slices'
-    tallies fold in order. So many small or sparse chunks pay the fixed
-    cost of a slice and of each of its steps once, while the stepping
-    arrays stay as small as those of one full-mode chunk.
+    A chunk is the range of ``chunks.step`` encodings from its start; its
+    rows are every encoding in full mode and the least rotations in
+    necklace mode. The rows are stepped in consecutive slices of
+    ``DEFAULT_CHUNK`` rows (the last may be shorter), cut across chunk
+    bounds, and the slices' tallies fold in order. So many small or
+    sparse chunks pay the fixed cost of a slice and of each of its steps
+    once, while the stepping arrays stay as small as those of one
+    full-mode chunk.
     """
-    sweep = functools.partial(_sweep_rows, rule, n, budget, invariants)
-
     def slices() -> Iterator[np.ndarray]:
         held, count = [], 0
-        for rows in arrays:
+        for lo in chunks:
+            hi = min(lo + chunks.step, 1 << n)
+            if mode == NECKLACE:
+                rows = packed.necklaces(n, lo, hi)
+            else:
+                rows = np.arange(lo, hi, dtype=np.uint64)
             held.append(rows)
             count += rows.size
             if count >= DEFAULT_CHUNK:
@@ -220,15 +193,8 @@ def _sweep_stream(
         if count:
             yield np.concatenate(held)
 
+    sweep = functools.partial(_sweep_rows, rule, n, budget, invariants)
     return functools.reduce(_Tally.add, map(sweep, slices()), _Tally())
-
-
-def _sweep_chunk(
-    rule: RuleTable, n: int, chunk_size: int, budget: int, mode: str, invariants: bool,
-    lo: int,
-) -> _Tally:
-    """A pool worker's task: list and stream the one chunk that starts at lo."""
-    return _sweep_stream(rule, n, budget, invariants, [_chunk_rows(n, chunk_size, mode, lo)])
 
 
 def _sweep_rows(
@@ -250,20 +216,24 @@ def _sweep_rows(
 
     Rows in one state at one step share every later state, since the
     rule is a function: they finish at the same step in the same state,
-    or none of them does. So the live states are merged at the steps 1,
+    or none of them does. And the rule contracts hard: of the live states
+    of a 2^16-ring slice at n = 19, about 30% are distinct after one step
+    and under 4% after six. So the live states are merged at the steps 1,
     2, 4, 8, ..., while at least ``MERGE_FLOOR`` are live, and each
-    distinct state is stepped once. Below the floor the sort costs more
-    than the steps it saves: merging every slice made the 2,192-row
-    necklace sweep at n = 15 about 10% slower (2-vCPU Xeon). A live
-    state stands for a group of rows, named by one member's row index. A
-    merge sorts each state above its group in one uint64 key, so it also
-    needs n + bit_length(rows - 1) ≤ 64: a full 2^16-row slice merges
-    only up to n = 48. The sorted keys hold each run of one state with
-    its groups ascending, so a run is named by its smallest group, and
-    the merge reads the distinct states and those groups back from the
-    keys. A group finishes once, into a record of its last state and its
-    step t0, appended to lists on its step. Each ring is still simulated
-    step by step; no symmetry is used.
+    distinct state is stepped once: a full sweep at n = 19 steps 2.3
+    states per checked ring, where stepping each row on its own would
+    take 12.4. Below the floor the sort costs more than the steps it
+    saves: merging every slice made the 2,192-row necklace sweep at
+    n = 15 about 10% slower (2-vCPU Xeon). A live state stands for a
+    group of rows, named by one member's row index. A merge sorts each
+    state above its group in one uint64 key, so it also needs
+    n + bit_length(rows - 1) ≤ 64: a full 2^16-row slice merges only up
+    to n = 48. The sorted keys hold each run of one state with its
+    groups ascending, so a run is named by its smallest group, and the
+    merge reads the distinct states and those groups back from the keys.
+    The stepping keeps no per-row outcome: a group finishes once, into a
+    record of its last state and its step t0, appended to lists on its
+    step. Each ring is still simulated step by step; no symmetry is used.
 
     At the end the records alone show whether every row is correct. That
     holds when no merge joined rows of both parities, so that each
@@ -303,10 +273,7 @@ def _sweep_rows(
     tally = _Tally(checked=int(size))
 
     # Each live state x[i] belongs to the group group[i]. A finishing step
-    # records its groups, their last states and its step t. A group that
-    # never finishes, proven cyclic or live at the budget, records nothing.
-    # A homogeneous state is its own target, so such rows finish correct
-    # at t0 = 0; they can only be the first and the last row.
+    # records its groups, their last states and its step t.
     first = int(start[0] == 0)
     stop = size - int(start[-1] == all_ones)
     x, group = start[first:stop], np.arange(first, stop)
@@ -349,8 +316,6 @@ def _sweep_rows(
         done = y == x
         done |= y == 0
         done |= y == all_ones
-        # A cycle never reaches a homogeneous or a fixed state: the rows
-        # proven cyclic leave with those that finish, but record nothing.
         gone = done if saved is None else (y == saved[group]) | done
         # The first checkpoint comes late, so the cycle test stays off the
         # wide early steps, where nearly every row still converges.
@@ -368,9 +333,6 @@ def _sweep_rows(
         if live.size < x.size:
             x, group = x[live], group[live]
 
-    # Without a mixed merge every group's rows share its parity, so when
-    # every group has a record and each record is right, every row is
-    # correct; the last record's smallest group is the smallest row.
     finishers = np.concatenate(ended)
     if (
         not mixed
@@ -401,8 +363,6 @@ def _classify_rows(
     a rule that does not conserve it. The smallest witness of a
     condition is its first row.
     """
-    # Each group points at its record; -1, no record, selects the last
-    # record, "never": a last state 2^64 - 1 that no ring equals, t0 = -1.
     record = np.full(start.size, -1)
     finishers = np.concatenate(ended)
     record[finishers] = np.arange(finishers.size)
@@ -478,30 +438,34 @@ def verify_size(
 ) -> VerificationReport:
     """Sweep every configuration of size n and report the classification.
 
-    A sweep of at least ``2 * POOL_ROWS`` rows starts a pool of
-    ``min(workers, chunks)`` processes, each task one chunk; a smaller
-    one, or one with a single worker or chunk, streams its chunks
-    through this process in full slices (see ``_sweep_stream``). The
-    report is deterministic: chunk boundaries depend only on
-    ``chunk_size`` (by default set by the mode, see ``plan_sweep``),
-    tallies are folded in encoding order, and witness lists are kept
-    sorted by packed encoding.
+    A sweep of fewer than ``2 * POOL_ROWS`` rows runs in this process
+    whatever the worker count (so pools start from full n = 21 and
+    necklace n = 25), as does one with a single worker or chunk: one
+    call of ``_sweep_chunks`` over the whole plan. A larger one starts a
+    pool of ``min(workers, chunks)`` processes, each task one call of
+    ``_sweep_chunks`` over one chunk, which lets the pool balance
+    necklace chunks of uneven size. The report is deterministic: chunk
+    boundaries depend only on ``chunk_size`` (by default set by the
+    mode, see ``plan_sweep``), tallies are folded in encoding order, and
+    witness lists are kept sorted by packed encoding.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be at most {MAX_WORKERS}")
     budget = engine.default_budget(n, budget)
     chunks = plan_sweep(n, chunk_size, mode)
     # The rows stepped: in necklace mode 2^n / n, a close lower bound of
     # the number of rotation classes.
     rows = 1 << n if mode == FULL else (1 << n) // n
     processes = min(workers, len(chunks))
+    sweep = functools.partial(_sweep_chunks, rule, n, budget, invariants, mode)
     if processes == 1 or rows < 2 * POOL_ROWS:
-        listed = map(functools.partial(_chunk_rows, n, chunks.step, mode), chunks)
-        tally = _sweep_stream(rule, n, budget, invariants, listed)
+        tally = sweep(chunks)
     else:
-        sweep = functools.partial(_sweep_chunk, rule, n, chunks.step, budget, mode, invariants)
         with multiprocessing.Pool(processes=processes) as pool:
-            tally = functools.reduce(_Tally.add, pool.imap(sweep, chunks), _Tally())
+            tasks = (chunks[i:i + 1] for i in range(len(chunks)))
+            tally = functools.reduce(_Tally.add, pool.imap(sweep, tasks), _Tally())
 
     def replay(value: int) -> Counterexample:
         config = Configuration(n, value)

@@ -275,7 +275,7 @@ def test_search_past_the_kernel_width_exits_two_at_once(capsys):
         assert "at most 63" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", ["abc", "0", "-4"])
+@pytest.mark.parametrize("bad", ["abc", "0", "-4", "257"])
 @pytest.mark.parametrize("command", [["verify", "--sizes", "3"], ["search", "--max-size", "3"]],
                          ids=["verify", "search"])
 def test_bad_workers_variable_exits_two(monkeypatch, capsys, command, bad):
@@ -322,7 +322,7 @@ BAD_OPTIONS = (
     [(command, "--budget", value) for command in ("evolve", "verify", "search")
      for value in ("0", "-1", "x")]
     + [(command, "--workers", value) for command in ("verify", "search")
-       for value in ("0", "-1", "x")]
+       for value in ("0", "-1", "x", "257")]
     + [("evolve", "--steps", value) for value in ("-1", "x")]
     + [(command, "--mode", "x") for command in ("verify", "search")]
     + [(command, "--rule", "x") for command in ("evolve", "verify", "search")]
@@ -387,6 +387,24 @@ def test_workers_variable_names_its_lower_bound(monkeypatch, capsys, value):
         cli.main(BASE_ARGV["verify"])
     err = capsys.readouterr().err.splitlines()[-1]
     assert err.endswith(f"{cli.WORKERS_ENV}: must be at least 1: '{value}'")
+
+
+@pytest.mark.parametrize("argv, env, prefix", [
+    (["verify", "--sizes", "3", "--workers", "257"], None, "argument --workers"),
+    (["search", "--max-size", "3", "--workers", "257"], None, "argument --workers"),
+    (["verify", "--sizes", "3"], "257", cli.WORKERS_ENV),
+], ids=["verify", "search", "variable"])
+def test_worker_counts_name_their_upper_bound(monkeypatch, capsys, argv, env, prefix):
+    # Unbounded, a pool starts one process per chunk: 1,024 at necklace n = 29.
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    if env is not None:
+        monkeypatch.setenv(cli.WORKERS_ENV, env)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(f"{prefix}: must be at most 256: '257'")
 
 
 def test_shared_options_reach_the_library(monkeypatch, capsys):

@@ -65,7 +65,7 @@ def test_budget_below_one_is_rejected_before_sweeping(monkeypatch):
     def no_sweep(*args):
         raise AssertionError("swept before checking the budget")
 
-    monkeypatch.setattr(V, "_chunk_rows", no_sweep)
+    monkeypatch.setattr(V, "_sweep_chunks", no_sweep)
     for budget in (0, -3):
         with pytest.raises(ValueError, match="budget must be at least 1"):
             V.verify_size(CORR, 31, budget=budget)
@@ -221,6 +221,18 @@ def test_pool_starts_only_from_twice_pool_rows(monkeypatch):
         with pytest.raises(PoolStarted):
             V.verify_size(CORR, n, mode=mode, workers=workers)
     assert started == [32, 8]
+
+
+def test_worker_counts_above_the_bound_are_rejected_before_any_pool(monkeypatch):
+    # Unbounded, n = 35 in necklace mode would ask for one process per
+    # chunk: 65,536 of them.
+    started = fake_pool(monkeypatch, run=False)
+    with pytest.raises(ValueError, match="at most 256"):
+        V.verify_size(CORR, 35, mode="necklace", workers=100_000)
+    assert started == []
+    with pytest.raises(PoolStarted):
+        V.verify_size(CORR, 35, mode="necklace", workers=V.MAX_WORKERS)
+    assert started == [256]
 
 
 def sweep_widths(monkeypatch):
